@@ -117,7 +117,7 @@ fn run_ga<B: MeasurementBackend + ?Sized>(
 ) -> (String, Vec<u8>) {
     let (tel, buf) = telemetry();
     let cfg = ga_config(seed, threads, tel);
-    let virus = generate_em_virus_on("rr", backend, "A72", &cfg, |_| {}).expect("campaign runs");
+    let virus = generate_em_virus_on("rr", backend, "A72", &cfg).expect("campaign runs");
     let bytes = buf.0.lock().unwrap().clone();
     (virus_fingerprint(&virus), bytes)
 }
@@ -229,8 +229,8 @@ fn replaying_a_different_campaign_fails_with_missing_recording() {
     let mut rep = ReplayBackend::open(&trace).expect("trace loads");
     let (tel, _buf) = telemetry();
     let cfg = ga_config(4, 1, tel);
-    let err = generate_em_virus_on("rr", &mut rep, "A72", &cfg, |_| {})
-        .expect_err("mismatched replay must fail");
+    let err =
+        generate_em_virus_on("rr", &mut rep, "A72", &cfg).expect_err("mismatched replay must fail");
     assert!(
         err.to_string().contains("no recorded measurement"),
         "unexpected error: {err}"

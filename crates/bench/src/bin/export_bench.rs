@@ -1,9 +1,8 @@
 //! Exports machine-readable benchmark numbers to `BENCH_eval.json` and
 //! `BENCH_ga.json` at the repository root.
 //!
-//! The criterion benches print to stdout only; CI and EXPERIMENTS.md
-//! want stable JSON artifacts, so this binary re-times the same
-//! workloads with `std::time::Instant` and writes
+//! CI and EXPERIMENTS.md want stable JSON artifacts, so this binary
+//! times the chain's workloads with `std::time::Instant` and writes
 //! `{name, samples, min_ms, mean_ms, max_ms}` records. Two headline
 //! comparisons: `full_chain_baseline` (the default auto-selected
 //! state-space + band-Goertzel path) against `full_chain_lu_fft` (the
@@ -14,7 +13,8 @@
 //!
 //! The GA-scale pair `checkpoint_overhead` / `ga_campaign_noop_recorder`
 //! times the engine-driven campaign checkpointing every batch against
-//! the legacy one-shot path — the step-engine tentpole requires the
+//! the same campaign run to completion without checkpoints — the
+//! step-engine tentpole requires the
 //! checkpointed path within 3% of it, which `bench_gate` enforces.
 //!
 //! `bench_gate` consumes the `full_chain_*` records, so warmup must be
@@ -34,7 +34,7 @@
 
 use emvolt_backend::LiveBackend;
 use emvolt_bench::fixtures::{a72_domain, arm_kernel};
-use emvolt_core::{generate_em_virus, generate_em_virus_resumable, VirusGenConfig};
+use emvolt_core::{generate_em_virus_on, generate_em_virus_resumable, VirusGenConfig};
 use emvolt_engine::DriveOptions;
 use emvolt_ga::GaConfig;
 use emvolt_obs::{JsonlRecorder, NoopRecorder, Telemetry, WaveDb};
@@ -369,9 +369,9 @@ fn ga_records() -> Vec<Stats> {
 
     // Engine-driven campaign snapshotting its state to disk after every
     // absorbed batch: the price of `--checkpoint PATH:1`, the tightest
-    // cadence the CLI accepts. The legacy one-shot entry
-    // (`ga_campaign_noop_recorder`) is a thin driver over the same
-    // engine with checkpointing off, so the ratio of the two floors —
+    // cadence the CLI accepts. The run-to-completion entry
+    // (`ga_campaign_noop_recorder`) drives the same engine with
+    // checkpointing off, so the ratio of the two floors —
     // sampled in alternating rounds — isolates the snapshot stash +
     // debounced render/write cost; `bench_gate` holds it within 3%.
     let path = std::env::temp_dir().join(format!(
@@ -389,10 +389,11 @@ fn ga_records() -> Vec<Stats> {
         WARMUP,
         PAIR_SAMPLES,
         || {
-            let mut bench = EmBench::new(11);
             let cfg = ga_config(Telemetry::noop());
+            let mut backend =
+                LiveBackend::single(domain.clone(), EmBench::new(11), cfg.run.clone());
             std::hint::black_box(
-                generate_em_virus("bench", &domain, &mut bench, &cfg)
+                generate_em_virus_on("bench", &mut backend, "A72", &cfg)
                     .unwrap()
                     .fitness,
             );
@@ -421,11 +422,12 @@ fn ga_records() -> Vec<Stats> {
         WARMUP,
         SAMPLES,
         || {
-            let mut bench = EmBench::new(11);
             let tel = Telemetry::new(Arc::new(JsonlRecorder::new(std::io::sink())));
             let cfg = ga_config(tel);
+            let mut backend =
+                LiveBackend::single(domain.clone(), EmBench::new(11), cfg.run.clone());
             std::hint::black_box(
-                generate_em_virus("bench", &domain, &mut bench, &cfg)
+                generate_em_virus_on("bench", &mut backend, "A72", &cfg)
                     .unwrap()
                     .fitness,
             );

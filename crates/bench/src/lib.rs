@@ -1,7 +1,8 @@
 //! # emvolt-bench
 //!
-//! Criterion benchmarks for the emvolt workspace live in `benches/`; this
-//! library only hosts shared fixtures.
+//! Benchmark exporters for the emvolt workspace: `export_bench` writes
+//! the `BENCH_*.json` floors and `bench_gate` checks them. This library
+//! only hosts their shared fixtures.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,19 +1,18 @@
-//! Step-engine ports of the core campaigns.
+//! The core campaigns as step-engine state machines.
 //!
 //! [`VirusCampaign`] and [`SweepCampaign`] decompose the GA virus search
 //! (§5.1) and the fast resonance sweep (§5.3) into the
 //! [`Campaign`] state machine of `emvolt-engine`: every batch of
 //! measurements is proposed by a pure `next_batch`, absorbed on the
 //! single-threaded coordinator (where all spans, histograms and the
-//! campaign clock are charged, exactly as the legacy serial sections
-//! did), and the whole in-flight state — GA population, engine RNG
-//! mid-stream, dominant-frequency memo, campaign clock — snapshots to a
-//! checkpoint and restores bit-identically.
+//! campaign clock are charged), and the whole in-flight state — GA
+//! population, GA RNG mid-stream, dominant-frequency memo, campaign
+//! clock — snapshots to a checkpoint and restores bit-identically.
 //!
-//! The legacy entry points ([`generate_em_virus_on`] /
-//! [`fast_resonance_sweep_on`]) are thin drivers over these campaigns
-//! with no checkpointing configured; their stdout, telemetry and results
-//! are byte-identical to the pre-engine implementations.
+//! Each campaign has two doors: a run-to-completion function
+//! ([`generate_em_virus_on`] / [`fast_resonance_sweep_on`]) and its
+//! `_resumable` form here, which takes [`DriveOptions`] for
+//! checkpoint/resume/interrupt.
 //!
 //! [`generate_em_virus_on`]: crate::generate_em_virus_on
 //! [`fast_resonance_sweep_on`]: crate::fast_resonance_sweep_on
@@ -24,7 +23,7 @@ use crate::ga_virus::{
     VirusGenConfig,
 };
 use emvolt_backend::{
-    run_config_fingerprint, BackendError, BandSpec, CachingBackend, EmObservation,
+    run_config_fingerprint, BackendError, BandSpec, CachingBackend, DomainInfo, EmObservation,
     MeasurementBackend,
 };
 use emvolt_engine::{
@@ -105,6 +104,16 @@ fn rng_from_value(v: &Value) -> Result<rand::rngs::StdRng, DomainError> {
         *slot = snap::unhex_u64(w).map_err(ck)?;
     }
     Ok(rand::rngs::StdRng::from_state(state))
+}
+
+/// Planning metadata of `domain_name`, or a backend error naming it.
+pub(crate) fn require_domain<B: MeasurementBackend + ?Sized>(
+    backend: &B,
+    domain_name: &str,
+) -> Result<DomainInfo, DomainError> {
+    backend
+        .domain_info(domain_name)
+        .ok_or_else(|| DomainError::Backend(format!("unknown domain `{domain_name}`")))
 }
 
 /// The first outcome of a single-request batch, or the failure it carried.
@@ -245,7 +254,7 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
     /// Scores one generation's outcomes and runs the generation barrier:
     /// clock advance, lane bookkeeping, eval/generation spans, fitness
     /// histograms and the progress observer — all on the coordinator, in
-    /// exactly the order the legacy barrier closure used.
+    /// a fixed order.
     fn absorb_generation(&mut self, outcomes: &[StepOutcome]) -> Result<(), DomainError> {
         let mut measured = 0usize;
         let mut hits = 0usize;
@@ -371,8 +380,7 @@ impl<F: FnMut(&GenerationProgress)> VirusCampaign<F> {
     }
 
     /// Finishes a complete campaign: emits the campaign span and the
-    /// telemetry summaries, closes the backend, and builds the virus —
-    /// byte-identical to the legacy post-campaign section.
+    /// telemetry summaries, closes the backend, and builds the virus.
     ///
     /// # Errors
     ///
@@ -689,9 +697,10 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
 /// `opts`. Returns `None` when the batch limit interrupted the campaign
 /// (its state is in the checkpoint file, ready to resume).
 ///
-/// `opts.threads == 0` / `opts.lanes == 0` resolve exactly as the legacy
-/// entry point resolved [`VirusGenConfig::threads`] /
-/// [`VirusGenConfig::lanes`].
+/// `opts.threads == 0` / `opts.lanes == 0` resolve from
+/// [`VirusGenConfig::threads`] / [`VirusGenConfig::lanes`]. The
+/// `on_generation` observer receives a [`GenerationProgress`] at every
+/// generation barrier, on the coordinator thread, in generation order.
 ///
 /// # Errors
 ///
@@ -741,17 +750,9 @@ fn run_virus_engine<B: MeasurementBackend + ?Sized>(
     opts: &DriveOptions,
     on_generation: impl FnMut(&GenerationProgress),
 ) -> Result<Option<Virus>, DomainError> {
-    let info = backend
-        .domain_info(domain_name)
-        .ok_or_else(|| DomainError::Backend(format!("unknown domain `{domain_name}`")))?;
-    let mut campaign = VirusCampaign::new(
-        name,
-        domain_name,
-        info.isa,
-        config,
-        opts.lanes,
-        on_generation,
-    );
+    let isa = require_domain(backend, domain_name)?.isa;
+    let mut campaign =
+        VirusCampaign::new(name, domain_name, isa, config, opts.lanes, on_generation);
     match drive(backend, &mut campaign, opts)? {
         DriveOutcome::Complete => campaign.into_virus(backend).map(Some),
         DriveOutcome::Interrupted => Ok(None),
@@ -957,9 +958,7 @@ pub fn fast_resonance_sweep_resumable<B: MeasurementBackend + ?Sized>(
     backend
         .configure_run(&config.run)
         .map_err(BackendError::into_domain_error)?;
-    let info = backend
-        .domain_info(domain_name)
-        .ok_or_else(|| DomainError::Backend(format!("unknown domain `{domain_name}`")))?;
+    let info = require_domain(backend, domain_name)?;
     let mut campaign = SweepCampaign::new(domain_name, info.isa, info.max_frequency_hz, config);
     match drive(backend, &mut campaign, opts)? {
         DriveOutcome::Complete => campaign.into_result(backend).map(Some),

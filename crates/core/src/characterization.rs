@@ -1,12 +1,11 @@
 //! High-level façade: one object that characterizes a voltage domain
 //! end-to-end with the EM methodology.
 
-use crate::campaigns::{fast_resonance_sweep_resumable, generate_em_virus_resumable};
+use crate::campaigns::require_domain;
 use crate::fast_sweep::{fast_resonance_sweep_on, FastSweepConfig, FastSweepResult};
 use crate::ga_virus::{generate_em_virus_on, Virus, VirusGenConfig};
 use crate::report::{analyze_virus, VirusReport};
 use emvolt_backend::{LiveBackend, MeasurementBackend};
-use emvolt_engine::DriveOptions;
 use emvolt_platform::{DomainError, EmBench, RunConfig, VoltageDomain};
 use emvolt_vmin::{FailureModel, VminConfig};
 
@@ -98,9 +97,7 @@ impl<B: MeasurementBackend> Characterization<B> {
     ///
     /// Propagates simulation failures.
     pub fn find_resonance_fast(&mut self) -> Result<FastSweepResult, DomainError> {
-        let info = self.backend.domain_info(&self.domain_name).ok_or_else(|| {
-            DomainError::Backend(format!("unknown domain `{}`", self.domain_name))
-        })?;
+        let info = require_domain(&self.backend, &self.domain_name)?;
         let cfg = FastSweepConfig::for_max_frequency(info.max_frequency_hz);
         fast_resonance_sweep_on(&mut self.backend, &self.domain_name, &cfg)
     }
@@ -115,48 +112,7 @@ impl<B: MeasurementBackend> Characterization<B> {
         name: &str,
         config: &VirusGenConfig,
     ) -> Result<Virus, DomainError> {
-        generate_em_virus_on(name, &mut self.backend, &self.domain_name, config, |_| {})
-    }
-
-    /// [`Characterization::find_resonance_fast`] with checkpoint/resume
-    /// wiring: `None` when the batch limit interrupted the sweep.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Characterization::find_resonance_fast`], plus checkpoint
-    /// verification/IO failures.
-    pub fn find_resonance_fast_resumable(
-        &mut self,
-        opts: &DriveOptions,
-    ) -> Result<Option<FastSweepResult>, DomainError> {
-        let info = self.backend.domain_info(&self.domain_name).ok_or_else(|| {
-            DomainError::Backend(format!("unknown domain `{}`", self.domain_name))
-        })?;
-        let cfg = FastSweepConfig::for_max_frequency(info.max_frequency_hz);
-        fast_resonance_sweep_resumable(&mut self.backend, &self.domain_name, &cfg, opts)
-    }
-
-    /// [`Characterization::generate_virus`] with checkpoint/resume
-    /// wiring: `None` when the batch limit interrupted the campaign.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Characterization::generate_virus`], plus checkpoint
-    /// verification/IO failures.
-    pub fn generate_virus_resumable(
-        &mut self,
-        name: &str,
-        config: &VirusGenConfig,
-        opts: &DriveOptions,
-    ) -> Result<Option<Virus>, DomainError> {
-        generate_em_virus_resumable(
-            name,
-            &mut self.backend,
-            &self.domain_name,
-            config,
-            opts,
-            |_| {},
-        )
+        generate_em_virus_on(name, &mut self.backend, &self.domain_name, config)
     }
 }
 

@@ -9,10 +9,10 @@
 //! ~15 hours for a GA run.
 
 use crate::campaigns::fast_resonance_sweep_resumable;
-use emvolt_backend::{LiveBackend, MeasurementBackend};
+use emvolt_backend::MeasurementBackend;
 use emvolt_engine::DriveOptions;
 use emvolt_obs::Telemetry;
-use emvolt_platform::{DomainError, EmBench, SimClock, VoltageDomain};
+use emvolt_platform::{DomainError, SimClock, VoltageDomain};
 
 /// One point of a loop-frequency sweep (Figs. 11, 13, 16).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,33 +87,15 @@ impl FastSweepConfig {
     }
 }
 
-/// Runs the fast sweep on (a copy of) `domain`.
+/// Runs the fast sweep to completion over any [`MeasurementBackend`]
+/// (for a live rig, `LiveBackend::single(domain.clone(), bench,
+/// config.run.clone())`): each DVFS point is one serial rig measurement
+/// on a single warm runner. For checkpointing or a batch limit, use
+/// [`fast_resonance_sweep_resumable`].
 ///
 /// # Errors
 ///
-/// Propagates simulation failures.
-pub fn fast_resonance_sweep(
-    domain: &VoltageDomain,
-    bench: &mut EmBench,
-    config: &FastSweepConfig,
-) -> Result<FastSweepResult, DomainError> {
-    // Re-home the caller's rig behind a live backend for the duration of
-    // the sweep, then hand it back with its analyzer time folded in.
-    let rig = std::mem::replace(bench, EmBench::new(0));
-    let mut backend = LiveBackend::single(domain.clone(), rig, config.run.clone());
-    let result = fast_resonance_sweep_on(&mut backend, domain.name(), config);
-    *bench = backend.into_bench();
-    result
-}
-
-/// [`fast_resonance_sweep`] over any [`MeasurementBackend`]: each DVFS
-/// point is one serial rig measurement (the backend keeps a single warm
-/// runner — the PDN netlist, its factorizations and the transient
-/// scratch are built once and reused across every point).
-///
-/// # Errors
-///
-/// As for [`fast_resonance_sweep`]; backend-layer failures surface as
+/// Propagates simulation failures; backend-layer failures surface as
 /// [`DomainError::Backend`].
 pub fn fast_resonance_sweep_on<B: MeasurementBackend + ?Sized>(
     backend: &mut B,
@@ -130,6 +112,7 @@ pub fn fast_resonance_sweep_on<B: MeasurementBackend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emvolt_backend::LiveBackend;
     use emvolt_cpu::CoreModel;
     use emvolt_platform::{a72_pdn, EmBench};
 
@@ -137,9 +120,9 @@ mod tests {
     fn sweep_finds_a72_resonance() {
         let domain =
             emvolt_platform::VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
-        let mut bench = EmBench::new(4);
         let cfg = FastSweepConfig::for_domain(&domain);
-        let result = fast_resonance_sweep(&domain, &mut bench, &cfg).unwrap();
+        let mut backend = LiveBackend::single(domain.clone(), EmBench::new(4), cfg.run.clone());
+        let result = fast_resonance_sweep_on(&mut backend, domain.name(), &cfg).unwrap();
         let expected = domain.expected_resonance_hz();
         assert!(
             (result.resonance_hz - expected).abs() / expected < 0.20,
@@ -156,12 +139,12 @@ mod tests {
     fn loop_frequency_tracks_clock() {
         let domain =
             emvolt_platform::VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
-        let mut bench = EmBench::new(5);
         let cfg = FastSweepConfig {
             cpu_freqs_hz: vec![1.2e9, 600e6],
             ..FastSweepConfig::for_domain(&domain)
         };
-        let result = fast_resonance_sweep(&domain, &mut bench, &cfg).unwrap();
+        let mut backend = LiveBackend::single(domain.clone(), EmBench::new(5), cfg.run.clone());
+        let result = fast_resonance_sweep_on(&mut backend, domain.name(), &cfg).unwrap();
         let ratio = result.points[0].loop_freq_hz / result.points[1].loop_freq_hz;
         assert!((ratio - 2.0).abs() < 0.1, "ratio {ratio}");
     }

@@ -9,14 +9,14 @@
 //! provided.
 
 use crate::campaigns::generate_em_virus_resumable;
-use emvolt_backend::{LiveBackend, MeasurementBackend};
+use emvolt_backend::MeasurementBackend;
 use emvolt_engine::DriveOptions;
-use emvolt_ga::{derive_eval_seed, EvalContext, GaConfig, GaEngine, KernelRepresentation};
+use emvolt_ga::{derive_eval_seed, map_parallel, GaConfig, GaState, KernelRepresentation};
 use emvolt_inst::Oscilloscope;
 use emvolt_isa::{InstructionPool, Kernel};
 use emvolt_obs::{CounterId, Telemetry};
 use emvolt_platform::{
-    DomainError, DomainRun, DomainRunner, EmBench, RunConfig, SimClock, VoltageDomain,
+    DomainError, DomainRun, DomainRunner, RunConfig, SimClock, VoltageDomain,
     INDIVIDUAL_OVERHEAD_SECONDS, RESONANCE_BAND,
 };
 use parking_lot::Mutex;
@@ -24,7 +24,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which scope statistic drives the voltage-feedback GA (§3.1(b): "the
 /// target metric is either maximum voltage droop or peak to peak").
@@ -235,7 +234,7 @@ pub struct GenerationRecord {
 }
 
 /// Per-generation progress snapshot handed to the observer callback of
-/// [`generate_em_virus_observed`] (and printed by `emvolt virus
+/// [`generate_em_virus_resumable`] (and printed by `emvolt virus
 /// --progress`). All figures describe the generation that just finished.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationProgress {
@@ -286,86 +285,38 @@ pub struct Virus {
     pub campaign: SimClock,
 }
 
-/// Runs the EM-driven GA (the paper's §5.1 flow) on `domain`.
+/// Runs the EM-driven GA (the paper's §5.1 flow) to completion. Every
+/// observation flows through `backend` — the live chain
+/// (`LiveBackend::single(domain.clone(), bench, config.run.clone())`), a
+/// recording wrapper or a replayed trace, with byte-identical telemetry.
 ///
-/// Fitness evaluation fans out over [`VirusGenConfig::threads`] workers,
-/// each drawing a warm [`DomainRunner`] from a pool and measuring through
-/// a [`SharedEmBench`](emvolt_platform::SharedEmBench) with a seed
-/// derived from `(ga.seed, generation, index)` — campaigns are
-/// bit-identical for every thread count. Analyzer sweep time accumulated
-/// by the workers is folded back into `bench`, and the campaign clock
-/// advances exactly as the serial flow did (~18 s + 2 s per individual).
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered; individuals that fail
-/// to simulate (e.g. exotic kernels hitting the cycle cap) are scored at
-/// the noise floor instead of aborting the campaign, so errors surface
-/// only from the final re-measurement.
-pub fn generate_em_virus(
-    name: &str,
-    domain: &VoltageDomain,
-    bench: &mut EmBench,
-    config: &VirusGenConfig,
-) -> Result<Virus, DomainError> {
-    generate_em_virus_observed(name, domain, bench, config, |_| {})
-}
-
-/// [`generate_em_virus`] with a per-generation observer: `on_generation`
-/// receives a [`GenerationProgress`] at every generation barrier (after
-/// telemetry for that generation has been emitted). The observer runs on
-/// the coordinator thread, in generation order.
+/// Individuals are measured in lane groups over
+/// [`VirusGenConfig::threads`] workers with seeds derived from
+/// `(ga.seed, generation, index)`, so campaigns are bit-identical for
+/// every thread count and lane width. For checkpointing, a
+/// per-generation observer or a batch limit, use
+/// [`generate_em_virus_resumable`].
 ///
 /// # Errors
 ///
-/// As for [`generate_em_virus`].
-pub fn generate_em_virus_observed(
-    name: &str,
-    domain: &VoltageDomain,
-    bench: &mut EmBench,
-    config: &VirusGenConfig,
-    on_generation: impl FnMut(&GenerationProgress),
-) -> Result<Virus, DomainError> {
-    // Re-home the caller's rig behind a live backend for the duration of
-    // the campaign, then hand it back with its analyzer time folded in.
-    let rig = std::mem::replace(bench, EmBench::new(0));
-    let mut backend = LiveBackend::single(domain.clone(), rig, config.run.clone());
-    let result = generate_em_virus_on(name, &mut backend, domain.name(), config, on_generation);
-    *bench = backend.into_bench();
-    result
-}
-
-/// [`generate_em_virus_observed`] over any [`MeasurementBackend`]: the GA
-/// never touches a domain or a bench directly — every observation flows
-/// through `backend`, so the same campaign runs against the live chain, a
-/// recording wrapper, or a replayed trace with byte-identical telemetry.
-///
-/// When [`VirusGenConfig::cache_fitness`] is set the backend is wrapped
-/// in a [`CachingBackend`] for the duration of the campaign, so repeated
-/// genomes are served from memory exactly as the old genome-keyed cache
-/// did (including cached failures).
-///
-/// # Errors
-///
-/// As for [`generate_em_virus`]; backend-layer failures (missing replay
-/// entries, trace I/O) surface as [`DomainError::Backend`].
+/// Individuals that fail to simulate score at the noise floor, so
+/// simulation errors surface only from the champion re-measurements;
+/// backend-layer failures surface as [`DomainError::Backend`].
 pub fn generate_em_virus_on<B: MeasurementBackend + ?Sized>(
     name: &str,
     backend: &mut B,
     domain_name: &str,
     config: &VirusGenConfig,
-    on_generation: impl FnMut(&GenerationProgress),
 ) -> Result<Virus, DomainError> {
     // No batch limit in the default options, so the drive always runs to
-    // completion (`threads`/`lanes` of 0 resolve from `config`, exactly
-    // as this entry point always resolved them).
+    // completion (`threads`/`lanes` of 0 resolve from `config`).
     let virus = generate_em_virus_resumable(
         name,
         backend,
         domain_name,
         config,
         &DriveOptions::default(),
-        on_generation,
+        |_| {},
     )?;
     Ok(virus.expect("campaign without a batch limit always completes"))
 }
@@ -374,14 +325,15 @@ pub fn generate_em_virus_on<B: MeasurementBackend + ?Sized>(
 /// maximum voltage droop captured by a scope on the die rail (OC-DSO on
 /// the Juno, Kelvin pads + bench scope on the AMD).
 ///
-/// Evaluation parallelizes exactly like [`generate_em_virus`]; scope
-/// noise for each individual is drawn from a seed derived from
-/// `(scope_seed, generation, index)`, so campaigns are bit-identical for
-/// every [`VirusGenConfig::threads`] value.
+/// Each generation is scored across [`VirusGenConfig::threads`] workers
+/// drawing warm runners from a pool; scope noise for each individual is
+/// drawn from a seed derived from `(scope_seed, generation, index)`, so
+/// campaigns are bit-identical for every thread count.
 ///
 /// # Errors
 ///
-/// As for [`generate_em_virus`].
+/// Propagates simulation failures of the final re-run; individuals that
+/// fail to simulate score zero droop.
 pub fn generate_voltage_virus(
     name: &str,
     domain: &VoltageDomain,
@@ -391,8 +343,7 @@ pub fn generate_voltage_virus(
 ) -> Result<Virus, DomainError> {
     let pool = InstructionPool::default_for(domain.core_model().isa);
     let repr = KernelRepresentation::new(pool, config.kernel_len);
-    let mut engine = GaEngine::new(repr, config.ga.clone());
-    engine.set_telemetry(config.telemetry.clone());
+    let mut state = GaState::new(&repr, &config.ga);
     // Summary-only (host-dependent, never emitted into traces).
     config.telemetry.count(
         CounterId::SimdDispatchLevel,
@@ -404,46 +355,55 @@ pub fn generate_voltage_virus(
     let quiet = config.telemetry.quiet();
     let runners = RunnerPool::new(domain, &config.run, quiet.clone());
     let fitness_cache: Mutex<HashMap<u64, f64>> = Mutex::new(HashMap::new());
-    let measured = AtomicUsize::new(0);
     let nominal_v = domain.voltage();
 
-    let result = {
-        let fitness = |kernel: &Kernel, ctx: EvalContext| -> f64 {
-            let key = config.cache_fitness.then(|| kernel_identity(kernel));
-            if let Some(k) = key {
-                if let Some(&cached) = fitness_cache.lock().get(&k) {
-                    quiet.count(CounterId::FitnessCacheHits, 1);
-                    return cached;
-                }
-                quiet.count(CounterId::FitnessCacheMisses, 1);
+    // Scores one individual; `true` when it was measured rather than
+    // served from the fitness cache.
+    let fitness = |generation: usize, index: usize, kernel: &Kernel| -> (f64, bool) {
+        let key = config.cache_fitness.then(|| kernel_identity(kernel));
+        if let Some(k) = key {
+            if let Some(&cached) = fitness_cache.lock().get(&k) {
+                quiet.count(CounterId::FitnessCacheHits, 1);
+                return (cached, false);
             }
-            measured.fetch_add(1, Ordering::Relaxed);
-            let seed = match key {
-                Some(k) => derive_eval_seed(scope_seed ^ k, 0, 0),
-                None => derive_eval_seed(scope_seed, ctx.generation, ctx.index),
-            };
-            let score = runners
-                .with(|slot| {
-                    slot.runner
-                        .run_into(kernel, config.loaded_cores, &mut slot.run)?;
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let shot = scope.capture(&slot.run.v_die, &mut rng);
-                    Ok(match config.voltage_metric {
-                        VoltageMetric::MaxDroop => shot.max_droop_below(nominal_v),
-                        VoltageMetric::PeakToPeak => shot.peak_to_peak(),
-                    })
-                })
-                .unwrap_or(0.0);
-            if let Some(k) = key {
-                fitness_cache.lock().insert(k, score);
-            }
-            score
+            quiet.count(CounterId::FitnessCacheMisses, 1);
+        }
+        let seed = match key {
+            Some(k) => derive_eval_seed(scope_seed ^ k, 0, 0),
+            None => derive_eval_seed(scope_seed, generation, index),
         };
-        engine.run_batch(&fitness, threads, |_| {
-            let evaluated = measured.swap(0, Ordering::Relaxed);
-            clock.advance(evaluated as f64 * (INDIVIDUAL_OVERHEAD_SECONDS + 2.0));
-        })
+        let score = runners
+            .with(|slot| {
+                slot.runner
+                    .run_into(kernel, config.loaded_cores, &mut slot.run)?;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let shot = scope.capture(&slot.run.v_die, &mut rng);
+                Ok(match config.voltage_metric {
+                    VoltageMetric::MaxDroop => shot.max_droop_below(nominal_v),
+                    VoltageMetric::PeakToPeak => shot.peak_to_peak(),
+                })
+            })
+            .unwrap_or(0.0);
+        if let Some(k) = key {
+            fitness_cache.lock().insert(k, score);
+        }
+        (score, true)
     };
+    while !state.is_done(&config.ga) {
+        let generation = state.generation;
+        let indexed: Vec<(usize, &Kernel)> = state.population.iter().enumerate().collect();
+        let scored = map_parallel(
+            &indexed,
+            |&(index, kernel)| fitness(generation, index, kernel),
+            threads,
+        );
+        let measured = scored.iter().filter(|&&(_, measured)| measured).count();
+        let scores: Vec<f64> = scored.into_iter().map(|(score, _)| score).collect();
+        state.absorb_scores(&repr, &config.ga, &config.telemetry, &scores, |_| {
+            clock.advance(measured as f64 * (INDIVIDUAL_OVERHEAD_SECONDS + 2.0));
+        });
+    }
+    let result = state.into_result();
 
     let history = result
         .history
@@ -512,8 +472,9 @@ pub fn dominant_from_run(run: &DomainRun) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emvolt_backend::LiveBackend;
     use emvolt_cpu::CoreModel;
-    use emvolt_platform::a72_pdn;
+    use emvolt_platform::{a72_pdn, EmBench};
 
     fn small_config() -> VirusGenConfig {
         VirusGenConfig {
@@ -535,8 +496,9 @@ mod tests {
     #[test]
     fn em_ga_improves_and_tracks_resonance() {
         let domain = a72();
-        let mut bench = EmBench::new(11);
-        let virus = generate_em_virus("a72em-test", &domain, &mut bench, &small_config()).unwrap();
+        let cfg = small_config();
+        let mut backend = LiveBackend::single(domain.clone(), EmBench::new(11), cfg.run.clone());
+        let virus = generate_em_virus_on("a72em-test", &mut backend, domain.name(), &cfg).unwrap();
         assert_eq!(virus.history.len(), 6);
         // Fitness improves (or at least does not regress) overall.
         let first = virus.history.first().unwrap().best_fitness;

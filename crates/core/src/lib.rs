@@ -4,11 +4,11 @@
 //! non-intrusive, zero-overhead PDN characterization from CPU
 //! electromagnetic emanations.
 //!
-//! * [`generate_em_virus`] — GA-evolved dI/dt stress tests driven purely
-//!   by spectrum-analyzer amplitude (§3, §5.1), plus the voltage-feedback
-//!   validation variant [`generate_voltage_virus`].
-//! * [`fast_resonance_sweep`] — the §5.3 loop-frequency sweep that finds
-//!   the first-order PDN resonance in minutes.
+//! * [`generate_em_virus_on`] — GA-evolved dI/dt stress tests driven
+//!   purely by spectrum-analyzer amplitude (§3, §5.1), plus the
+//!   voltage-feedback validation variant [`generate_voltage_virus`].
+//! * [`fast_resonance_sweep_on`] — the §5.3 loop-frequency sweep that
+//!   finds the first-order PDN resonance in minutes.
 //! * [`monitor`] — simultaneous multi-domain voltage-noise monitoring
 //!   through a single antenna (§6.1).
 //! * [`analyze_virus`] / [`format_table2`] — the Table-2 virus metrics.
@@ -18,13 +18,15 @@
 //!   resonance shifts.
 //! * [`Characterization`] — a façade running the complete flow.
 //!
-//! Every campaign entry point has an `_on` twin generic over
-//! [`emvolt_backend::MeasurementBackend`] ([`generate_em_virus_on`],
-//! [`fast_resonance_sweep_on`], [`monitor::capture_multi_domain_on`],
-//! [`tamper::fingerprint_on`], [`MarginPredictor::calibrate_on`]): the
-//! same flow runs against the live simulation chain, a recording wrapper
-//! persisting a JSONL trace, or a replayed trace that never touches the
-//! circuit solver.
+//! The campaigns are generic over [`emvolt_backend::MeasurementBackend`]:
+//! the same flow runs against the live simulation chain
+//! (`LiveBackend::single(domain, bench, run_config)`), a recording
+//! wrapper persisting a JSONL trace, or a replayed trace that never
+//! touches the circuit solver. Each one has two doors, a
+//! run-to-completion function ([`generate_em_virus_on`],
+//! [`fast_resonance_sweep_on`]) and a `_resumable` form driven by the
+//! step-engine's `DriveOptions` (checkpoint, resume, batch limit,
+//! worker-pool shape).
 //!
 //! # Examples
 //!
@@ -61,13 +63,10 @@ pub use campaigns::{
     fast_resonance_sweep_resumable, generate_em_virus_resumable, SweepCampaign, VirusCampaign,
 };
 pub use characterization::Characterization;
-pub use fast_sweep::{
-    fast_resonance_sweep, fast_resonance_sweep_on, FastSweepConfig, FastSweepResult, SweepPoint,
-};
+pub use fast_sweep::{fast_resonance_sweep_on, FastSweepConfig, FastSweepResult, SweepPoint};
 pub use ga_virus::{
-    annotate_droop, dominant_from_run, generate_em_virus, generate_em_virus_observed,
-    generate_em_virus_on, generate_voltage_virus, GenerationProgress, GenerationRecord, Virus,
-    VirusGenConfig, VoltageMetric,
+    annotate_droop, dominant_from_run, generate_em_virus_on, generate_voltage_virus,
+    GenerationProgress, GenerationRecord, Virus, VirusGenConfig, VoltageMetric,
 };
 pub use predictor::MarginPredictor;
 pub use report::{analyze_virus, format_table2, VirusReport};

@@ -5,10 +5,9 @@
 //! the A72 and A53 viruses together produces a spectrum with both
 //! frequency signatures visible.
 
-use emvolt_backend::{BackendError, CombinedSource, MeasurementBackend};
 use emvolt_inst::SweepReading;
-use emvolt_obs::Telemetry;
-use emvolt_platform::{DomainError, DomainRun, EmBench};
+use emvolt_platform::{DomainRun, EmBench};
+use rand::SeedableRng;
 
 /// A detected voltage-noise signature.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,29 +27,8 @@ pub fn capture_multi_domain(bench: &mut EmBench, runs: &[&DomainRun]) -> SweepRe
     bench.analyzer.sweep(&rx, &mut rng)
 }
 
-use rand::SeedableRng;
-
-/// Analyzer-noise seed of [`capture_multi_domain`], reused by the
-/// backend-routed capture so both spell the same sweep.
-pub const CAPTURE_SEED: u64 = 0x515;
-
-/// [`capture_multi_domain`] over any [`MeasurementBackend`]: the backend
-/// executes (or replays) each source's run and sweeps the combined field
-/// once, with analyzer noise drawn from [`CAPTURE_SEED`].
-///
-/// # Errors
-///
-/// Propagates simulation failures; backend-layer failures surface as
-/// [`DomainError::Backend`].
-pub fn capture_multi_domain_on<B: MeasurementBackend + ?Sized>(
-    backend: &mut B,
-    sources: &[CombinedSource<'_>],
-    telemetry: &Telemetry,
-) -> Result<SweepReading, DomainError> {
-    backend
-        .capture_combined(sources, CAPTURE_SEED, telemetry)
-        .map_err(BackendError::into_domain_error)
-}
+/// Analyzer-noise seed of [`capture_multi_domain`].
+const CAPTURE_SEED: u64 = 0x515;
 
 /// Extracts up to `count` signatures at least `min_separation_hz` apart
 /// and at least `min_above_floor_db` above the analyzer noise floor.

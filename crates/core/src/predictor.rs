@@ -10,11 +10,9 @@
 //! hence the V_MIN margin) of any workload from a purely passive EM
 //! reading.
 
-use emvolt_backend::{BackendError, BandSpec, Load, MeasureRequest, MeasurementBackend};
 use emvolt_dsp::dbm_to_watts;
 use emvolt_isa::Kernel;
-use emvolt_obs::Telemetry;
-use emvolt_platform::{DomainError, EmBench, EmReading, RunConfig, VoltageDomain, RESONANCE_BAND};
+use emvolt_platform::{DomainError, EmBench, EmReading, RunConfig, VoltageDomain};
 use emvolt_vmin::FailureModel;
 
 /// A calibrated EM → droop predictor.
@@ -66,61 +64,6 @@ impl MarginPredictor {
             let reading = bench.measure(&run, samples);
             points.push((amplitude_of(&reading), run.max_droop()));
         }
-        Ok(Self::fit(points))
-    }
-
-    /// [`MarginPredictor::calibrate`] over any
-    /// [`MeasurementBackend`]: each workload is one serial rig
-    /// measurement over the full resonance band, and the droop regressand
-    /// comes from the observation itself — so a recorded calibration
-    /// replays without re-simulation.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MarginPredictor::calibrate`]; backend-layer failures
-    /// surface as [`DomainError::Backend`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two workloads are supplied.
-    pub fn calibrate_on<B: MeasurementBackend + ?Sized>(
-        backend: &mut B,
-        domain_name: &str,
-        workloads: &[(&str, &Kernel)],
-        loaded_cores: usize,
-        samples: usize,
-        config: &RunConfig,
-        telemetry: &Telemetry,
-    ) -> Result<Self, DomainError> {
-        assert!(
-            workloads.len() >= 2,
-            "need at least two calibration workloads"
-        );
-        backend
-            .configure_run(config)
-            .map_err(BackendError::into_domain_error)?;
-        let mut points = Vec::with_capacity(workloads.len());
-        for (_, kernel) in workloads {
-            let req = MeasureRequest {
-                domain: domain_name,
-                load: Load::Kernel {
-                    kernel,
-                    loaded_cores,
-                },
-                freq_hz: None,
-                band: BandSpec::Explicit {
-                    lo_hz: RESONANCE_BAND.0,
-                    hi_hz: RESONANCE_BAND.1,
-                },
-                samples,
-                seed: None,
-            };
-            let obs = backend
-                .measure_serial(&req, telemetry)
-                .map_err(BackendError::into_domain_error)?;
-            points.push((amplitude_of(&obs.reading), obs.max_droop_v));
-        }
-        backend.finish().map_err(BackendError::into_domain_error)?;
         Ok(Self::fit(points))
     }
 

@@ -3,7 +3,8 @@
 //! identical campaigns produce byte-identical traces — at any thread
 //! count.
 
-use emvolt_core::{generate_em_virus, VirusGenConfig};
+use emvolt_backend::LiveBackend;
+use emvolt_core::{generate_em_virus_on, VirusGenConfig};
 use emvolt_cpu::CoreModel;
 use emvolt_ga::GaConfig;
 use emvolt_obs::{Event, EventKind, JsonlRecorder, Layer, Telemetry};
@@ -56,14 +57,9 @@ fn traced_campaign_with_lanes(threads: usize, lanes: usize) -> Vec<u8> {
     let buf = Arc::new(Mutex::new(Vec::new()));
     let tel = Telemetry::new(Arc::new(JsonlRecorder::new(SharedBuf(buf.clone()))));
     let domain = a72();
-    let mut bench = EmBench::new(11);
-    generate_em_virus(
-        "det-test",
-        &domain,
-        &mut bench,
-        &campaign_config(tel, threads, lanes),
-    )
-    .unwrap();
+    let config = campaign_config(tel, threads, lanes);
+    let mut backend = LiveBackend::single(domain.clone(), EmBench::new(11), config.run.clone());
+    generate_em_virus_on("det-test", &mut backend, domain.name(), &config).unwrap();
     let bytes = buf.lock().clone();
     bytes
 }

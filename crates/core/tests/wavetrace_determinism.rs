@@ -3,7 +3,8 @@
 //! resulting VCD is byte-identical at any worker-thread count and any
 //! lane width.
 
-use emvolt_core::{generate_em_virus, VirusGenConfig};
+use emvolt_backend::LiveBackend;
+use emvolt_core::{generate_em_virus_on, VirusGenConfig};
 use emvolt_cpu::CoreModel;
 use emvolt_ga::GaConfig;
 use emvolt_obs::{validate_vcd_text, NoopRecorder, Telemetry, WaveDb};
@@ -33,8 +34,8 @@ fn traced_vcd(threads: usize, lanes: usize, stride: usize) -> String {
         ..VirusGenConfig::default()
     };
     let domain = a72();
-    let mut bench = EmBench::new(11);
-    generate_em_virus("wave-test", &domain, &mut bench, &cfg).unwrap();
+    let mut backend = LiveBackend::single(domain.clone(), EmBench::new(11), cfg.run.clone());
+    generate_em_virus_on("wave-test", &mut backend, domain.name(), &cfg).unwrap();
     db.to_vcd_string()
 }
 

@@ -8,19 +8,19 @@
 //! * [`Campaign`] — the state-machine trait: propose the next
 //!   [`StepBatch`], absorb its [`StepOutcome`]s, and snapshot/restore
 //!   the in-flight state as a value tree.
-//! * [`StepDriver`] — executes batches against any
-//!   [`MeasurementBackend`], reusing the exact lane-grouped worker-pool
-//!   dispatch of the legacy hot path (`--threads`/`--lanes` semantics
-//!   preserved bit-for-bit), and checkpoints campaign + rig + telemetry
-//!   state to a versioned JSONL file every N batches.
+//! * [`drive`] — executes batches against any [`MeasurementBackend`]
+//!   under [`DriveOptions`]: lane groups fan out over a worker pool
+//!   (results are bit-identical at any `--threads`/`--lanes`), and
+//!   campaign + rig + telemetry state checkpoints to a versioned JSONL
+//!   file every N batches.
 //! * [`checkpoint`] — the on-disk snapshot format (floats as hex bit
 //!   patterns, run-config fingerprint guard against resuming on a
 //!   different chip/config).
 //!
 //! The driver never emits telemetry events of its own from worker
 //! threads: lane batches run against a quiet clone of the campaign's
-//! handle, exactly as the legacy `run_batch_lanes` path did, so a
-//! campaign driven through the engine produces byte-identical traces.
+//! handle, so a campaign's trace is byte-identical at any worker-pool
+//! shape.
 
 pub mod checkpoint;
 pub mod snap;
@@ -167,7 +167,7 @@ impl StepBatch {
 /// * `absorb` receives outcomes in request order and is called from
 ///   the single-threaded coordinator, so it may emit telemetry events
 ///   freely — this is where generation barriers, spans and histograms
-///   are charged, exactly as the legacy serial sections did.
+///   are charged.
 /// * [`snapshot`](Campaign::snapshot) / [`restore`](Campaign::restore)
 ///   round-trip every bit of in-flight state (RNG streams included):
 ///   a restored campaign must produce the same remaining batches, and
@@ -235,83 +235,40 @@ pub enum DriveOutcome {
     Interrupted,
 }
 
-/// Executes a [`Campaign`] against a [`MeasurementBackend`].
-pub struct StepDriver<'a, B: MeasurementBackend + ?Sized> {
+/// Executes a [`Campaign`] against a [`MeasurementBackend`]; built only
+/// by [`drive`].
+struct StepDriver<'a, B: MeasurementBackend + ?Sized> {
     backend: &'a mut B,
+    /// Worker threads for lane batches (`<= 1` = serial dispatch).
     threads: usize,
+    /// Requests per lane group (at least 1).
     lanes: usize,
+    /// Checkpoint file, written after every `checkpoint_every` absorbed
+    /// batches (and always when interrupted by the batch limit).
     checkpoint_path: Option<PathBuf>,
     checkpoint_every: u64,
+    /// Stop (with a checkpoint) once this many batches have been
+    /// absorbed and more work remains.
     max_batches: Option<u64>,
+    /// Batches absorbed so far (includes batches restored by resume).
     batches_done: u64,
 }
 
-impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
-    /// A serial driver (one thread, one lane, no checkpointing).
-    pub fn new(backend: &'a mut B) -> Self {
-        StepDriver {
-            backend,
-            threads: 1,
-            lanes: 1,
-            checkpoint_path: None,
-            checkpoint_every: 1,
-            max_batches: None,
-            batches_done: 0,
-        }
-    }
-
-    /// Worker threads for lane batches (`<= 1` = serial dispatch).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Requests per lane group (clamped to at least 1).
-    #[must_use]
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
-        self
-    }
-
-    /// Checkpoints to `path` after every `every` absorbed batches (and
-    /// always when interrupted by the batch limit).
-    #[must_use]
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
-        self.checkpoint_path = Some(path.into());
-        self.checkpoint_every = every.max(1);
-        self
-    }
-
-    /// Stops (with a checkpoint) once `max` batches have been absorbed
-    /// and more work remains.
-    #[must_use]
-    pub fn max_batches(mut self, max: u64) -> Self {
-        self.max_batches = Some(max);
-        self
-    }
-
-    /// Batches absorbed so far (includes batches restored by resume).
-    pub fn batches_done(&self) -> u64 {
-        self.batches_done
-    }
-
+impl<B: MeasurementBackend + ?Sized> StepDriver<'_, B> {
     /// Loads `path` and restores `campaign`, the backend rig and the
     /// telemetry totals to the snapshot, after verifying the header:
     /// campaign kind and run-config fingerprint must match, so a
     /// checkpoint taken against a different chip/config is refused.
     ///
-    /// Returns the number of batches the snapshot covers.
-    ///
     /// # Errors
     ///
     /// [`DomainError::Checkpoint`] on I/O or parse failure, a header
     /// mismatch, or incompatible campaign/rig state.
-    pub fn resume<C: Campaign + ?Sized>(
+    fn resume<C: Campaign + ?Sized>(
         &mut self,
         campaign: &mut C,
         path: &Path,
-    ) -> Result<u64, DomainError> {
+    ) -> Result<(), DomainError> {
         let cp = Checkpoint::read(path).map_err(DomainError::Checkpoint)?;
         if cp.campaign != campaign.kind() {
             return Err(DomainError::Checkpoint(format!(
@@ -338,7 +295,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         cp.telemetry.restore_into(&tel);
         tel.count(CounterId::StepsResumed, cp.batches);
         self.batches_done = cp.batches;
-        Ok(cp.batches)
+        Ok(())
     }
 
     /// Runs the campaign to completion or to the batch limit.
@@ -356,10 +313,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
     /// # Errors
     ///
     /// [`DomainError`] from a fatal absorb or a failed checkpoint write.
-    pub fn run<C: Campaign + ?Sized>(
-        &mut self,
-        campaign: &mut C,
-    ) -> Result<DriveOutcome, DomainError> {
+    fn run<C: Campaign + ?Sized>(&mut self, campaign: &mut C) -> Result<DriveOutcome, DomainError> {
         let mut writer = self.checkpoint_path.clone().map(CheckpointWriter::new);
         match self.run_loop(campaign, &mut writer) {
             Ok(DriveOutcome::Complete) => Ok(DriveOutcome::Complete),
@@ -412,8 +366,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         }
     }
 
-    /// Lane-grouped dispatch, bit-identical to the legacy
-    /// `run_batch_lanes` hot path: requests are chunked into lane
+    /// Lane-grouped dispatch: requests are chunked into contiguous lane
     /// groups, groups fan out over the scoped worker pool, and every
     /// group is a single `measure_batch` call against a quiet
     /// telemetry clone (workers never emit events).
@@ -423,7 +376,7 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
         requests: &[StepRequest],
     ) -> Vec<StepOutcome> {
         let quiet = campaign.telemetry().quiet();
-        let groups: Vec<&[StepRequest]> = requests.chunks(self.lanes.max(1)).collect();
+        let groups: Vec<&[StepRequest]> = requests.chunks(self.lanes).collect();
         let backend: &B = &*self.backend;
         let eval_group = |chunk: &&[StepRequest]| -> Vec<StepOutcome> {
             let reqs: Vec<MeasureRequest<'_>> = chunk.iter().map(StepRequest::as_measure).collect();
@@ -433,12 +386,10 @@ impl<'a, B: MeasurementBackend + ?Sized> StepDriver<'a, B> {
                 .map(outcome_of)
                 .collect()
         };
-        let grouped: Vec<Vec<StepOutcome>> = if self.threads <= 1 {
-            groups.iter().map(eval_group).collect()
-        } else {
-            emvolt_ga::map_parallel(&groups, eval_group, self.threads)
-        };
-        grouped.into_iter().flatten().collect()
+        emvolt_ga::map_parallel(&groups, eval_group, self.threads)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     fn execute_serial<C: Campaign + ?Sized>(
@@ -582,8 +533,8 @@ pub struct DriveOptions {
 }
 
 impl DriveOptions {
-    /// Serial, non-checkpointed options with the given pool shape —
-    /// what the legacy entry points use.
+    /// Non-checkpointed options with the given worker-pool shape — what
+    /// the run-to-completion entry points use.
     pub fn pool(threads: usize, lanes: usize) -> Self {
         DriveOptions {
             threads,
@@ -611,15 +562,15 @@ where
     B: MeasurementBackend + ?Sized,
     C: Campaign + ?Sized,
 {
-    let mut driver = StepDriver::new(backend)
-        .threads(opts.threads)
-        .lanes(opts.lanes);
-    if let Some(path) = &opts.checkpoint {
-        driver = driver.checkpoint(path, opts.checkpoint_every);
-    }
-    if let Some(max) = opts.max_batches {
-        driver = driver.max_batches(max);
-    }
+    let mut driver = StepDriver {
+        backend,
+        threads: opts.threads,
+        lanes: opts.lanes.max(1),
+        checkpoint_path: opts.checkpoint.clone(),
+        checkpoint_every: opts.checkpoint_every.max(1),
+        max_batches: opts.max_batches,
+        batches_done: 0,
+    };
     match &opts.resume {
         Some(path) => {
             driver.resume(campaign, path)?;

@@ -5,8 +5,9 @@ use crate::juno_figs::vmin_ladder;
 use crate::output::{mhz, section, table, write_csv};
 use crate::viruses::{self, VirusTag};
 use crate::Options;
+use emvolt_backend::LiveBackend;
 use emvolt_core::monitor::{capture_multi_domain, detect_signatures};
-use emvolt_core::{fast_resonance_sweep, FastSweepConfig};
+use emvolt_core::{fast_resonance_sweep_on, FastSweepConfig};
 use emvolt_platform::{spec2006_suite, EmBench, JunoBoard, RunConfig, Suite};
 use emvolt_vmin::FailureModel;
 use std::error::Error;
@@ -46,14 +47,15 @@ pub fn fig13(opts: &Options) -> Result<String, Box<dyn Error>> {
     for active in (1..=4usize).rev() {
         let mut board = JunoBoard::new();
         board.a53.power_gate(active);
-        let mut bench = EmBench::new(0x1300 + active as u64);
         let mut cfg = FastSweepConfig::for_domain(&board.a53);
         if opts.quick {
             cfg.cpu_freqs_hz
                 .retain(|f| ((f / 15.8e6).round() as u64).is_multiple_of(2));
             cfg.samples_per_point = 3;
         }
-        let sweep = fast_resonance_sweep(&board.a53, &mut bench, &cfg)?;
+        let rig = EmBench::new(0x1300 + active as u64);
+        let mut backend = LiveBackend::single(board.a53.clone(), rig, cfg.run.clone());
+        let sweep = fast_resonance_sweep_on(&mut backend, board.a53.name(), &cfg)?;
         let label = match active {
             4 => "C0C1C2C3",
             3 => "C0C1C2",

@@ -4,7 +4,8 @@ use crate::juno_figs::vmin_ladder;
 use crate::output::{mhz, section, table, write_csv};
 use crate::viruses::{self, VirusTag};
 use crate::Options;
-use emvolt_core::{fast_resonance_sweep, FastSweepConfig};
+use emvolt_backend::LiveBackend;
+use emvolt_core::{fast_resonance_sweep_on, FastSweepConfig};
 use emvolt_platform::{desktop_suite, AmdDesktop, EmBench, Suite};
 use emvolt_vmin::{vmin_test, FailureModel, VminConfig};
 use std::error::Error;
@@ -12,14 +13,15 @@ use std::error::Error;
 /// Fig. 16: loop-frequency sweep on the Athlon II — resonance at 78 MHz.
 pub fn fig16(opts: &Options) -> Result<String, Box<dyn Error>> {
     let amd = AmdDesktop::new();
-    let mut bench = EmBench::new(0x1616);
     let mut cfg = FastSweepConfig::for_domain(&amd.domain);
     if opts.quick {
         cfg.cpu_freqs_hz
             .retain(|f| ((f / 51.7e6).round() as u64).is_multiple_of(2));
         cfg.samples_per_point = 3;
     }
-    let sweep = fast_resonance_sweep(&amd.domain, &mut bench, &cfg)?;
+    let mut backend =
+        LiveBackend::single(amd.domain.clone(), EmBench::new(0x1616), cfg.run.clone());
+    let sweep = fast_resonance_sweep_on(&mut backend, amd.domain.name(), &cfg)?;
     let headers = ["cpu clock (MHz)", "loop freq (MHz)", "EM (dBm)"];
     let rows: Vec<Vec<String>> = sweep
         .points

@@ -3,7 +3,8 @@
 use crate::output::{mhz, mv, section, table, write_csv};
 use crate::viruses::{self, VirusTag};
 use crate::Options;
-use emvolt_core::{annotate_droop, fast_resonance_sweep, FastSweepConfig};
+use emvolt_backend::LiveBackend;
+use emvolt_core::{annotate_droop, fast_resonance_sweep_on, FastSweepConfig};
 use emvolt_dsp::{Spectrum, Window};
 use emvolt_inst::{Oscilloscope, ScopeConfig};
 use emvolt_platform::{
@@ -313,16 +314,19 @@ pub fn fig10(opts: &Options) -> Result<String, Box<dyn Error>> {
 /// states.
 pub fn fig11(opts: &Options) -> Result<String, Box<dyn Error>> {
     let mut board = JunoBoard::new();
-    let mut bench = EmBench::new(0x1111);
     let mut cfg = FastSweepConfig::for_domain(&board.a72);
     if opts.quick {
         cfg.cpu_freqs_hz
             .retain(|f| ((f / 20e6).round() as u64).is_multiple_of(2));
         cfg.samples_per_point = 3;
     }
-    let sweep2 = fast_resonance_sweep(&board.a72, &mut bench, &cfg)?;
+    // One rig across both gating states: the second sweep continues the
+    // first one's analyzer noise stream.
+    let mut backend = LiveBackend::single(board.a72.clone(), EmBench::new(0x1111), cfg.run.clone());
+    let sweep2 = fast_resonance_sweep_on(&mut backend, board.a72.name(), &cfg)?;
     board.a72.power_gate(1);
-    let sweep1 = fast_resonance_sweep(&board.a72, &mut bench, &cfg)?;
+    let mut backend = LiveBackend::single(board.a72.clone(), backend.into_bench(), cfg.run.clone());
+    let sweep1 = fast_resonance_sweep_on(&mut backend, board.a72.name(), &cfg)?;
 
     let headers = [
         "cpu clock (MHz)",

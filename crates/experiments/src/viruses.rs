@@ -6,9 +6,7 @@
 
 use crate::Options;
 use emvolt_backend::BackendSpec;
-use emvolt_core::{
-    generate_em_virus, generate_em_virus_on, generate_voltage_virus, Virus, VirusGenConfig,
-};
+use emvolt_core::{generate_em_virus_on, generate_voltage_virus, Virus, VirusGenConfig};
 use emvolt_ga::GaConfig;
 use emvolt_inst::{Oscilloscope, ScopeConfig};
 use emvolt_isa::{Kernel, KernelSpec};
@@ -124,34 +122,20 @@ pub fn generate(tag: VirusTag, opts: &Options) -> Result<Virus, Box<dyn Error>> 
     let config = ga_config(tag, opts);
     let virus = match tag {
         VirusTag::A72Em | VirusTag::A53Em | VirusTag::AmdEm => {
-            match opts.backend_for(tag.label()) {
-                // Live default: exactly the pre-backend code path.
-                None => {
-                    let mut bench = EmBench::new(tag.seed() ^ 0xBEEF);
-                    generate_em_virus(tag.label(), &domain, &mut bench, &config)?
-                }
-                Some(spec) => {
-                    if let BackendSpec::Record(path) = &spec {
-                        if let Some(dir) = path.parent() {
-                            std::fs::create_dir_all(dir)?;
-                        }
-                    }
-                    let mut backend = spec
-                        .build(
-                            vec![domain.clone()],
-                            EmBench::new(tag.seed() ^ 0xBEEF),
-                            config.run.clone(),
-                        )
-                        .map_err(|e| format!("backend {spec}: {e}"))?;
-                    generate_em_virus_on(
-                        tag.label(),
-                        &mut *backend,
-                        domain.name(),
-                        &config,
-                        |_| {},
-                    )?
+            let spec = opts.backend_for(tag.label()).unwrap_or(BackendSpec::Live);
+            if let BackendSpec::Record(path) = &spec {
+                if let Some(dir) = path.parent() {
+                    std::fs::create_dir_all(dir)?;
                 }
             }
+            let mut backend = spec
+                .build(
+                    vec![domain.clone()],
+                    EmBench::new(tag.seed() ^ 0xBEEF),
+                    config.run.clone(),
+                )
+                .map_err(|e| format!("backend {spec}: {e}"))?;
+            generate_em_virus_on(tag.label(), &mut *backend, domain.name(), &config)?
         }
         VirusTag::A72OcDso => {
             let scope = Oscilloscope::new(ScopeConfig::oc_dso());

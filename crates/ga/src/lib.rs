@@ -2,13 +2,16 @@
 //!
 //! The genetic-algorithm optimization framework of §3: tournament
 //! selection, one-point crossover, per-gene mutation and elitism over a
-//! population of instruction-sequence individuals, driven by an arbitrary
-//! (typically noisy) fitness function such as measured EM amplitude.
+//! population of instruction-sequence individuals, scored by an arbitrary
+//! (typically noisy) fitness such as measured EM amplitude.
 //!
-//! The engine is generic: [`Representation`] supplies the genome
-//! operators and the fitness closure the objective.
-//! [`KernelRepresentation`] binds the engine to [`emvolt_isa`]
-//! instruction pools.
+//! The loop is inverted: [`GaState`] holds one generation's population,
+//! the caller scores it however it likes (serially, across
+//! [`map_parallel`] workers, or through a measurement backend) and feeds
+//! the scores back with [`GaState::absorb_scores`], which breeds the next
+//! generation. [`Representation`] supplies the genome operators;
+//! [`KernelRepresentation`] binds them to [`emvolt_isa`] instruction
+//! pools.
 //!
 //! # Examples
 //!
@@ -16,17 +19,23 @@
 //! (a toy fitness):
 //!
 //! ```
-//! use emvolt_ga::{GaConfig, GaEngine, KernelRepresentation};
+//! use emvolt_ga::{GaConfig, GaState, KernelRepresentation};
 //! use emvolt_isa::{InstructionPool, Isa, OpClass};
+//! use emvolt_obs::Telemetry;
 //!
 //! let pool = InstructionPool::default_for(Isa::ArmV8);
 //! let repr = KernelRepresentation::new(pool, 20);
 //! let config = GaConfig { generations: 15, population: 20, ..GaConfig::default() };
-//! let mut engine = GaEngine::new(repr, config);
-//! let result = engine.run(
-//!     |kernel| kernel.class_fraction(OpClass::IntShort),
-//!     |_stats| {},
-//! );
+//! let mut state = GaState::new(&repr, &config);
+//! while !state.is_done(&config) {
+//!     let scores: Vec<f64> = state
+//!         .population
+//!         .iter()
+//!         .map(|kernel| kernel.class_fraction(OpClass::IntShort))
+//!         .collect();
+//!     state.absorb_scores(&repr, &config, &Telemetry::noop(), &scores, |_stats| {});
+//! }
+//! let result = state.into_result();
 //! assert!(result.best_fitness > 0.5);
 //! ```
 
@@ -60,7 +69,7 @@ pub trait Representation {
     fn mutate(&self, genome: &mut Self::Genome, rate: f64, rng: &mut StdRng);
 }
 
-/// GA engine configuration.
+/// GA configuration.
 ///
 /// Defaults follow the paper: population 50, 60 generations, tournament
 /// selection, one-point crossover, 2–4% mutation rate (§3.1).
@@ -94,6 +103,37 @@ impl Default for GaConfig {
     }
 }
 
+impl GaConfig {
+    /// Checks that the configuration can run: at least two individuals
+    /// and one generation, a non-empty tournament, and an elite that
+    /// leaves room for offspring.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.population < 2 {
+            return Err(format!(
+                "population must be at least 2, got {}",
+                self.population
+            ));
+        }
+        if self.generations == 0 {
+            return Err("generations must be at least 1, got 0".to_owned());
+        }
+        if self.tournament_k == 0 {
+            return Err("tournament size must be at least 1, got 0".to_owned());
+        }
+        if self.elitism >= self.population {
+            return Err(format!(
+                "elitism {} must leave room for offspring in a population of {}",
+                self.elitism, self.population
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Statistics for one completed generation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenerationStats {
@@ -121,212 +161,11 @@ pub struct GaResult<G> {
     pub generation_best: Vec<G>,
 }
 
-/// The GA engine: owns the representation and configuration.
-#[derive(Debug)]
-pub struct GaEngine<R: Representation> {
-    repr: R,
-    config: GaConfig,
-    telemetry: emvolt_obs::Telemetry,
-}
-
-impl<R: Representation> GaEngine<R> {
-    /// Creates an engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate configurations (population < 2, zero
-    /// tournament, elitism >= population).
-    pub fn new(repr: R, config: GaConfig) -> Self {
-        assert!(config.population >= 2, "population must be at least 2");
-        assert!(config.tournament_k >= 1, "tournament size must be >= 1");
-        assert!(
-            config.elitism < config.population,
-            "elitism must leave room for offspring"
-        );
-        GaEngine {
-            repr,
-            config,
-            telemetry: emvolt_obs::Telemetry::noop(),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GaConfig {
-        &self.config
-    }
-
-    /// Attaches a telemetry handle; the engine then charges the
-    /// evaluation and generation counters as it runs. Counter updates
-    /// are order-independent atomics, so this is safe for batch runs at
-    /// any thread count. The default handle is inert.
-    pub fn set_telemetry(&mut self, telemetry: emvolt_obs::Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// Runs the GA to completion.
-    ///
-    /// `fitness` is called once per individual per generation (it may be
-    /// noisy — the engine re-evaluates elites each generation rather than
-    /// caching, matching how a physical measurement behaves).
-    /// `on_generation` observes each generation's statistics.
-    ///
-    /// Evaluation is strictly serial in population order; stateful
-    /// (`FnMut`) fitness closures — e.g. one drawing noise from its own
-    /// RNG — behave exactly as in prior releases. For thread-safe fitness
-    /// functions, [`GaEngine::run_batch`] evaluates each generation as a
-    /// batch instead.
-    pub fn run<F, C>(&mut self, mut fitness: F, on_generation: C) -> GaResult<R::Genome>
-    where
-        F: FnMut(&R::Genome) -> f64,
-        C: FnMut(&GenerationStats),
-    {
-        self.run_inner(
-            |population, _generation| population.iter().map(&mut fitness).collect(),
-            on_generation,
-        )
-    }
-
-    /// Runs the GA evaluating each generation as a batch across `threads`
-    /// worker threads (via [`evaluate_parallel`]).
-    ///
-    /// Each individual's evaluation receives an [`EvalContext`] carrying a
-    /// seed derived from `(config.seed, generation, index)` — not from any
-    /// shared mutable RNG — so the full run (scores, history, evolution
-    /// path) is bit-identical for every `threads` value, including 1.
-    /// `threads <= 1` skips thread spawning entirely.
-    pub fn run_batch<F, C>(
-        &mut self,
-        fitness: &F,
-        threads: usize,
-        on_generation: C,
-    ) -> GaResult<R::Genome>
-    where
-        R::Genome: Sync,
-        F: BatchFitness<R::Genome>,
-        C: FnMut(&GenerationStats),
-    {
-        let campaign_seed = self.config.seed;
-        self.run_inner(
-            |population, generation| {
-                if threads <= 1 {
-                    population
-                        .iter()
-                        .enumerate()
-                        .map(|(index, genome)| {
-                            fitness.evaluate(
-                                genome,
-                                EvalContext::new(campaign_seed, generation, index),
-                            )
-                        })
-                        .collect()
-                } else {
-                    let indexed: Vec<(usize, &R::Genome)> = population.iter().enumerate().collect();
-                    evaluate_parallel(
-                        &indexed,
-                        |&(index, genome)| {
-                            fitness.evaluate(
-                                genome,
-                                EvalContext::new(campaign_seed, generation, index),
-                            )
-                        },
-                        threads,
-                    )
-                }
-            },
-            on_generation,
-        )
-    }
-
-    /// Runs the GA evaluating each generation in lane groups of `lanes`
-    /// individuals, dispatching whole groups across `threads` worker
-    /// threads — the entry point for batched (SIMD-style lane-major)
-    /// fitness pipelines.
-    ///
-    /// Each group receives the same `(config.seed, generation, index)`-
-    /// derived [`EvalContext`]s that [`GaEngine::run_batch`] would hand
-    /// the individuals one at a time, and groups are formed by contiguous
-    /// population order regardless of thread count. A [`LaneFitness`]
-    /// whose lane `l` result depends only on `(genomes[l], ctxs[l])` —
-    /// the contract the batched measurement chain satisfies bit-for-bit —
-    /// therefore yields runs that are bit-identical at any
-    /// `(threads, lanes)` combination, including `(1, 1)`.
-    ///
-    /// `lanes == 0` is treated as 1; `threads <= 1` skips thread spawning.
-    pub fn run_batch_lanes<F, C>(
-        &mut self,
-        fitness: &F,
-        threads: usize,
-        lanes: usize,
-        on_generation: C,
-    ) -> GaResult<R::Genome>
-    where
-        R::Genome: Sync,
-        F: LaneFitness<R::Genome>,
-        C: FnMut(&GenerationStats),
-    {
-        let campaign_seed = self.config.seed;
-        let lanes = lanes.max(1);
-        self.run_inner(
-            |population, generation| {
-                let groups: Vec<(usize, &[R::Genome])> = population
-                    .chunks(lanes)
-                    .enumerate()
-                    .map(|(gi, chunk)| (gi * lanes, chunk))
-                    .collect();
-                let eval_group = |&(start, chunk): &(usize, &[R::Genome])| -> Vec<f64> {
-                    let genomes: Vec<&R::Genome> = chunk.iter().collect();
-                    let ctxs: Vec<EvalContext> = (0..chunk.len())
-                        .map(|l| EvalContext::new(campaign_seed, generation, start + l))
-                        .collect();
-                    let scores = fitness.evaluate_lanes(&genomes, &ctxs);
-                    assert_eq!(
-                        scores.len(),
-                        chunk.len(),
-                        "lane fitness must score every lane of its group"
-                    );
-                    scores
-                };
-                let grouped: Vec<Vec<f64>> = if threads <= 1 {
-                    groups.iter().map(eval_group).collect()
-                } else {
-                    map_parallel(&groups, eval_group, threads)
-                };
-                grouped.into_iter().flatten().collect()
-            },
-            on_generation,
-        )
-    }
-
-    /// The generation loop shared by [`GaEngine::run`] and
-    /// [`GaEngine::run_batch`]: `evaluate` scores a whole generation,
-    /// everything else (selection, crossover, mutation, elitism) is
-    /// serial and driven by the engine RNG, held in a [`GaState`].
-    fn run_inner<E, C>(&mut self, mut evaluate: E, mut on_generation: C) -> GaResult<R::Genome>
-    where
-        E: FnMut(&[R::Genome], usize) -> Vec<f64>,
-        C: FnMut(&GenerationStats),
-    {
-        let mut state = GaState::new(&self.repr, &self.config);
-        while !state.is_done(&self.config) {
-            let scores: Vec<f64> = evaluate(&state.population, state.generation);
-            state.absorb_scores(
-                &self.repr,
-                &self.config,
-                &self.telemetry,
-                &scores,
-                &mut on_generation,
-            );
-        }
-        state.into_result()
-    }
-}
-
 /// The complete mid-run state of a GA campaign: everything the breeding
 /// loop carries between generations, with public fields so a checkpointed
 /// campaign can serialize it mid-stream and resume bit-identically.
 ///
-/// [`GaEngine::run`]-family methods are thin loops over this state:
-/// construct with [`GaState::new`], score `population` externally, feed
+/// Construct with [`GaState::new`], score `population` externally, feed
 /// the scores to [`GaState::absorb_scores`] until [`GaState::is_done`],
 /// then take the result with [`GaState::into_result`].
 #[derive(Debug, Clone)]
@@ -352,14 +191,11 @@ impl<G: Clone> GaState<G> {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configurations, like [`GaEngine::new`].
+    /// Panics on a configuration [`GaConfig::validate`] rejects.
     pub fn new<R: Representation<Genome = G>>(repr: &R, config: &GaConfig) -> Self {
-        assert!(config.population >= 2, "population must be at least 2");
-        assert!(config.tournament_k >= 1, "tournament size must be >= 1");
-        assert!(
-            config.elitism < config.population,
-            "elitism must leave room for offspring"
-        );
+        if let Err(e) = config.validate() {
+            panic!("invalid GA configuration: {e}");
+        }
         let mut rng = StdRng::seed_from_u64(config.seed);
         let population: Vec<G> = (0..config.population)
             .map(|_| repr.random(&mut rng))
@@ -484,77 +320,6 @@ fn tournament<'a, G>(
     &population[best_idx]
 }
 
-/// Per-individual evaluation context handed to a [`BatchFitness`].
-///
-/// The `seed` is a pure function of `(campaign seed, generation, index)`
-/// (see [`derive_eval_seed`]), so any measurement noise drawn from it is
-/// identical no matter which thread evaluates the individual or in what
-/// order the batch is scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalContext {
-    /// Generation index, starting at 0.
-    pub generation: usize,
-    /// Index of the individual within its generation's population.
-    pub index: usize,
-    /// Seed for any stochastic part of this one evaluation.
-    pub seed: u64,
-}
-
-impl EvalContext {
-    /// Builds the context for individual `index` of `generation` under
-    /// `campaign_seed`.
-    pub fn new(campaign_seed: u64, generation: usize, index: usize) -> Self {
-        EvalContext {
-            generation,
-            index,
-            seed: derive_eval_seed(campaign_seed, generation, index),
-        }
-    }
-}
-
-/// A thread-safe fitness function evaluating one genome per call, used by
-/// [`GaEngine::run_batch`].
-///
-/// Implemented for any `Fn(&G, EvalContext) -> f64 + Sync` closure.
-/// Unlike the `FnMut` closure taken by [`GaEngine::run`], implementations
-/// take `&self` and must draw any randomness from [`EvalContext::seed`]
-/// rather than captured mutable state.
-pub trait BatchFitness<G>: Sync {
-    /// Scores one genome.
-    fn evaluate(&self, genome: &G, ctx: EvalContext) -> f64;
-}
-
-impl<G, F> BatchFitness<G> for F
-where
-    F: Fn(&G, EvalContext) -> f64 + Sync,
-{
-    fn evaluate(&self, genome: &G, ctx: EvalContext) -> f64 {
-        self(genome, ctx)
-    }
-}
-
-/// A thread-safe fitness function scoring a whole lane group per call,
-/// used by [`GaEngine::run_batch_lanes`].
-///
-/// Implemented for any `Fn(&[&G], &[EvalContext]) -> Vec<f64> + Sync`
-/// closure. The engine's determinism contract requires lane `l`'s score
-/// to depend only on `(genomes[l], ctxs[l])` — batching may amortize the
-/// physics across lanes, but must not couple their results.
-pub trait LaneFitness<G>: Sync {
-    /// Scores `genomes[l]` under `ctxs[l]` for every lane `l`, returning
-    /// exactly one score per lane.
-    fn evaluate_lanes(&self, genomes: &[&G], ctxs: &[EvalContext]) -> Vec<f64>;
-}
-
-impl<G, F> LaneFitness<G> for F
-where
-    F: Fn(&[&G], &[EvalContext]) -> Vec<f64> + Sync,
-{
-    fn evaluate_lanes(&self, genomes: &[&G], ctxs: &[EvalContext]) -> Vec<f64> {
-        self(genomes, ctxs)
-    }
-}
-
 /// Derives the evaluation seed for one individual from the campaign seed,
 /// its generation and its population index.
 ///
@@ -587,44 +352,20 @@ pub fn one_point_crossover<T: Clone>(a: &[T], b: &[T], rng: &mut StdRng) -> (Vec
     (c1, c2)
 }
 
-/// Evaluates an entire population in parallel using scoped threads; used
-/// when fitness evaluation is CPU-bound simulation rather than a shared
-/// instrument session.
-pub fn evaluate_parallel<G, F>(population: &[G], fitness: F, threads: usize) -> Vec<f64>
-where
-    G: Sync,
-    F: Fn(&G) -> f64 + Sync,
-{
-    let threads = threads.max(1);
-    let mut scores = vec![0.0f64; population.len()];
-    let chunk = population.len().div_ceil(threads).max(1);
-    crossbeam::thread::scope(|s| {
-        for (genomes, out) in population.chunks(chunk).zip(scores.chunks_mut(chunk)) {
-            let fitness = &fitness;
-            s.spawn(move |_| {
-                for (g, o) in genomes.iter().zip(out.iter_mut()) {
-                    *o = fitness(g);
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    scores
-}
-
 /// Applies `eval` to every item across `threads` scoped worker threads,
-/// returning results in item order — the group-level analogue of
-/// [`evaluate_parallel`] for evaluators producing per-group vectors.
-/// Public so the step-engine driver can dispatch lane groups with exactly
-/// the same chunking (and therefore the same thread schedule) as
-/// [`GaEngine::run_batch_lanes`].
+/// returning results in item order. Items are split into `threads`
+/// contiguous chunks, one per worker, so the schedule is a pure function
+/// of `(items.len(), threads)`; `threads <= 1` evaluates inline on the
+/// calling thread without spawning.
 pub fn map_parallel<T, U, F>(items: &[T], eval: F, threads: usize) -> Vec<U>
 where
     T: Sync,
     U: Send + Default,
     F: Fn(&T) -> U + Sync,
 {
-    let threads = threads.max(1);
+    if threads <= 1 {
+        return items.iter().map(eval).collect();
+    }
     let mut out: Vec<U> = (0..items.len()).map(|_| U::default()).collect();
     let chunk = items.len().div_ceil(threads).max(1);
     crossbeam::thread::scope(|s| {
@@ -645,7 +386,7 @@ where
 mod tests {
     use super::*;
 
-    /// Bit-string representation for engine tests.
+    /// Bit-string representation for GA tests.
     struct Bits(usize);
 
     impl Representation for Bits {
@@ -678,17 +419,37 @@ mod tests {
         g.iter().filter(|&&b| b).count() as f64
     }
 
+    /// Runs the GA to completion, scoring each generation serially in
+    /// population order.
+    fn run(
+        bits: usize,
+        config: &GaConfig,
+        mut fitness: impl FnMut(&Vec<bool>) -> f64,
+        mut on_generation: impl FnMut(&GenerationStats),
+    ) -> GaResult<Vec<bool>> {
+        let repr = Bits(bits);
+        let mut state = GaState::new(&repr, config);
+        while !state.is_done(config) {
+            let scores: Vec<f64> = state.population.iter().map(&mut fitness).collect();
+            state.absorb_scores(
+                &repr,
+                config,
+                &emvolt_obs::Telemetry::noop(),
+                &scores,
+                &mut on_generation,
+            );
+        }
+        state.into_result()
+    }
+
     #[test]
     fn solves_onemax() {
-        let mut engine = GaEngine::new(
-            Bits(64),
-            GaConfig {
-                population: 40,
-                generations: 60,
-                ..GaConfig::default()
-            },
-        );
-        let result = engine.run(ones, |_| {});
+        let config = GaConfig {
+            population: 40,
+            generations: 60,
+            ..GaConfig::default()
+        };
+        let result = run(64, &config, ones, |_| {});
         assert!(
             result.best_fitness >= 60.0,
             "best {} of 64",
@@ -698,8 +459,7 @@ mod tests {
 
     #[test]
     fn best_so_far_is_monotone() {
-        let mut engine = GaEngine::new(Bits(32), GaConfig::default());
-        let result = engine.run(ones, |_| {});
+        let result = run(32, &GaConfig::default(), ones, |_| {});
         for w in result.history.windows(2) {
             assert!(w[1].best_so_far >= w[0].best_so_far);
         }
@@ -709,46 +469,42 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let run = || {
-            let mut engine = GaEngine::new(
-                Bits(32),
-                GaConfig {
-                    generations: 10,
-                    ..GaConfig::default()
-                },
-            );
-            engine.run(ones, |_| {}).best
+        let config = GaConfig {
+            generations: 10,
+            ..GaConfig::default()
         };
-        assert_eq!(run(), run());
+        let a = run(32, &config, ones, |_| {});
+        let b = run(32, &config, ones, |_| {});
+        assert_eq!(a.best, b.best);
+        assert_eq!(a.history, b.history);
     }
 
     #[test]
     fn noisy_fitness_still_improves() {
-        let mut engine = GaEngine::new(
-            Bits(64),
-            GaConfig {
-                population: 40,
-                generations: 50,
-                seed: 7,
-                ..GaConfig::default()
-            },
-        );
+        let config = GaConfig {
+            population: 40,
+            generations: 50,
+            seed: 7,
+            ..GaConfig::default()
+        };
         let mut noise_rng = StdRng::seed_from_u64(99);
-        let result = engine.run(move |g| ones(g) + noise_rng.gen_range(-2.0..2.0), |_| {});
+        let result = run(
+            64,
+            &config,
+            move |g| ones(g) + noise_rng.gen_range(-2.0..2.0),
+            |_| {},
+        );
         assert!(result.best_fitness > 50.0);
     }
 
     #[test]
     fn callback_sees_every_generation() {
-        let mut engine = GaEngine::new(
-            Bits(16),
-            GaConfig {
-                generations: 12,
-                ..GaConfig::default()
-            },
-        );
+        let config = GaConfig {
+            generations: 12,
+            ..GaConfig::default()
+        };
         let mut seen = Vec::new();
-        let _ = engine.run(ones, |s| seen.push(s.index));
+        let _ = run(16, &config, ones, |s| seen.push(s.index));
         assert_eq!(seen, (0..12).collect::<Vec<_>>());
     }
 
@@ -766,161 +522,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_matches_serial() {
+    fn map_parallel_matches_serial_at_any_thread_count() {
         let population: Vec<Vec<bool>> = {
             let repr = Bits(24);
             let mut rng = StdRng::seed_from_u64(1);
             (0..37).map(|_| repr.random(&mut rng)).collect()
         };
         let serial: Vec<f64> = population.iter().map(ones).collect();
-        let parallel = evaluate_parallel(&population, ones, 4);
-        assert_eq!(serial, parallel);
-    }
-
-    /// A batch fitness with seed-derived noise, exercising the property
-    /// the measurement pipeline depends on: noise comes from the context
-    /// seed, not shared mutable state.
-    fn noisy_batch(g: &Vec<bool>, ctx: EvalContext) -> f64 {
-        let mut rng = StdRng::seed_from_u64(ctx.seed);
-        ones(g) + rng.gen_range(-0.5..0.5)
-    }
-
-    #[test]
-    fn batch_run_is_bit_identical_across_thread_counts() {
-        let run = |threads: usize| {
-            let mut engine = GaEngine::new(
-                Bits(32),
-                GaConfig {
-                    population: 20,
-                    generations: 15,
-                    seed: 31,
-                    ..GaConfig::default()
-                },
-            );
-            let mut history = Vec::new();
-            let result = engine.run_batch(&noisy_batch, threads, |s| history.push(s.clone()));
-            (
-                result.best,
-                result.best_fitness,
-                result.generation_best,
-                history,
-            )
-        };
-        let serial = run(1);
-        for threads in [2, 3, 8] {
-            let parallel = run(threads);
-            assert_eq!(serial.0, parallel.0, "{threads} threads: best genome");
+        for threads in [0, 1, 4, 64] {
             assert_eq!(
-                serial.1.to_bits(),
-                parallel.1.to_bits(),
-                "{threads} threads: best fitness"
+                map_parallel(&population, ones, threads),
+                serial,
+                "{threads} threads"
             );
-            assert_eq!(serial.2, parallel.2, "{threads} threads: generation bests");
-            assert_eq!(serial.3, parallel.3, "{threads} threads: history");
         }
-    }
-
-    /// Lane groups must not change a single bit of the run: the same
-    /// noisy fitness, evaluated through `run_batch_lanes` at any
-    /// `(threads, lanes)` combination, reproduces the `run_batch`
-    /// reference exactly.
-    #[test]
-    fn lane_run_is_bit_identical_across_threads_and_lanes() {
-        let config = GaConfig {
-            population: 21,
-            generations: 12,
-            seed: 77,
-            ..GaConfig::default()
-        };
-        let lane_fitness = |genomes: &[&Vec<bool>], ctxs: &[EvalContext]| -> Vec<f64> {
-            genomes
-                .iter()
-                .zip(ctxs)
-                .map(|(g, &ctx)| noisy_batch(g, ctx))
-                .collect()
-        };
-        let reference = {
-            let mut engine = GaEngine::new(Bits(32), config.clone());
-            let mut history = Vec::new();
-            let r = engine.run_batch(&noisy_batch, 1, |s| history.push(s.clone()));
-            (r.best, r.best_fitness, r.generation_best, history)
-        };
-        for threads in [1, 4] {
-            for lanes in [1, 3, 8, 64] {
-                let mut engine = GaEngine::new(Bits(32), config.clone());
-                let mut history = Vec::new();
-                let r = engine
-                    .run_batch_lanes(&lane_fitness, threads, lanes, |s| history.push(s.clone()));
-                assert_eq!(reference.0, r.best, "threads {threads}, lanes {lanes}");
-                assert_eq!(
-                    reference.1.to_bits(),
-                    r.best_fitness.to_bits(),
-                    "threads {threads}, lanes {lanes}"
-                );
-                assert_eq!(
-                    reference.2, r.generation_best,
-                    "threads {threads}, lanes {lanes}"
-                );
-                assert_eq!(reference.3, history, "threads {threads}, lanes {lanes}");
-            }
-        }
-    }
-
-    /// The lane evaluator sees contiguous population groups with the same
-    /// `(generation, index)`-derived contexts the per-individual path
-    /// uses, at every thread count.
-    #[test]
-    fn lane_groups_carry_the_per_individual_contexts() {
-        use std::sync::Mutex as StdMutex;
-        let config = GaConfig {
-            population: 10,
-            generations: 2,
-            seed: 3,
-            ..GaConfig::default()
-        };
-        for threads in [1, 4] {
-            let seen: StdMutex<Vec<(usize, usize, u64)>> = StdMutex::new(Vec::new());
-            let lane_fitness = |genomes: &[&Vec<bool>], ctxs: &[EvalContext]| -> Vec<f64> {
-                assert!(ctxs.len() <= 4, "group wider than the lane width");
-                let mut log = seen.lock().unwrap();
-                for ctx in ctxs {
-                    log.push((ctx.generation, ctx.index, ctx.seed));
-                }
-                genomes.iter().map(|g| ones(g)).collect()
-            };
-            let _ = GaEngine::new(Bits(16), config.clone()).run_batch_lanes(
-                &lane_fitness,
-                threads,
-                4,
-                |_| {},
-            );
-            let mut log = seen.into_inner().unwrap();
-            log.sort_unstable();
-            let mut expected: Vec<(usize, usize, u64)> = (0..2)
-                .flat_map(|g| (0..10).map(move |i| (g, i, derive_eval_seed(3, g, i))))
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(log, expected, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn batch_run_with_pure_fitness_matches_serial_run() {
-        let config = GaConfig {
-            population: 24,
-            generations: 12,
-            seed: 5,
-            ..GaConfig::default()
-        };
-        let serial = GaEngine::new(Bits(32), config.clone()).run(ones, |_| {});
-        let batch = GaEngine::new(Bits(32), config).run_batch(
-            &|g: &Vec<bool>, _ctx: EvalContext| ones(g),
-            4,
-            |_| {},
-        );
-        assert_eq!(serial.best, batch.best);
-        assert_eq!(serial.best_fitness.to_bits(), batch.best_fitness.to_bits());
-        assert_eq!(serial.history, batch.history);
     }
 
     #[test]
@@ -942,11 +557,38 @@ mod tests {
     }
 
     #[test]
+    fn validate_accepts_defaults_and_rejects_degenerate_sizes() {
+        assert_eq!(GaConfig::default().validate(), Ok(()));
+        let with = |edit: fn(&mut GaConfig)| {
+            let mut config = GaConfig::default();
+            edit(&mut config);
+            config.validate()
+        };
+        assert_eq!(
+            with(|c| (c.population, c.generations, c.elitism) = (2, 1, 1)),
+            Ok(())
+        );
+        for (edit, field) in [
+            (
+                (|c| (c.population, c.elitism) = (1, 0)) as fn(&mut GaConfig),
+                "population",
+            ),
+            (|c| c.generations = 0, "generations"),
+            (|c| c.tournament_k = 0, "tournament"),
+            // The default elitism of 2 fills a population of 2.
+            (|c| c.population = 2, "elitism"),
+        ] {
+            let err = with(edit).unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "population")]
     fn rejects_tiny_population() {
-        let _ = GaEngine::new(
-            Bits(8),
-            GaConfig {
+        let _ = GaState::new(
+            &Bits(8),
+            &GaConfig {
                 population: 1,
                 ..GaConfig::default()
             },

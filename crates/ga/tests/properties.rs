@@ -1,6 +1,6 @@
 //! Property-based tests for the GA engine.
 
-use emvolt_ga::{one_point_crossover, GaConfig, GaEngine, KernelRepresentation, Representation};
+use emvolt_ga::{one_point_crossover, GaConfig, GaState, KernelRepresentation, Representation};
 use emvolt_isa::{InstructionPool, Isa};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -27,8 +27,8 @@ proptest! {
         prop_assert_eq!(original, children);
     }
 
-    /// The engine always reports exactly `generations` entries with a
-    /// monotone best-so-far, for arbitrary valid configurations.
+    /// A `GaState` loop always reports exactly `generations` entries
+    /// with a monotone best-so-far, for arbitrary valid configurations.
     #[test]
     fn engine_history_invariants(
         population in 2usize..24,
@@ -39,18 +39,22 @@ proptest! {
     ) {
         let elitism = 1usize.min(population - 1);
         let repr = KernelRepresentation::new(InstructionPool::default_for(Isa::ArmV8), 8);
-        let mut engine = GaEngine::new(
-            repr,
-            GaConfig { population, generations, tournament_k, mutation_rate, elitism, seed },
-        );
+        let config = GaConfig { population, generations, tournament_k, mutation_rate, elitism, seed };
+        prop_assert_eq!(config.validate(), Ok(()));
+        let mut state = GaState::new(&repr, &config);
         let mut calls = 0usize;
-        let result = engine.run(
-            |k| {
-                calls += 1;
-                k.len() as f64 + (k.body()[0].mem_slot as f64) / 100.0
-            },
-            |_| {},
-        );
+        while !state.is_done(&config) {
+            let scores: Vec<f64> = state
+                .population
+                .iter()
+                .map(|k| {
+                    calls += 1;
+                    k.len() as f64 + (k.body()[0].mem_slot as f64) / 100.0
+                })
+                .collect();
+            state.absorb_scores(&repr, &config, &emvolt_obs::Telemetry::noop(), &scores, |_| {});
+        }
+        let result = state.into_result();
         prop_assert_eq!(result.history.len(), generations);
         prop_assert_eq!(result.generation_best.len(), generations);
         prop_assert_eq!(calls, population * generations);

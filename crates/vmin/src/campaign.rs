@@ -330,14 +330,19 @@ impl Campaign for VminCampaign {
     }
 }
 
-/// [`vmin_test_with`](crate::vmin_test_with) with
+/// [`vmin_test`](crate::vmin_test) with telemetry and
 /// checkpoint/resume/interrupt wiring: drives a [`VminCampaign`] against
 /// the engine's [`NullBackend`] (the ladder is compute-only). Returns
 /// `None` when the batch limit interrupted the campaign.
 ///
+/// The single physical domain run that anchors the ladder is charged to
+/// `telemetry` — counters, spans and (when a wave sink is attached) the
+/// `cpu.*` / `pdn.*` waveform traces of the droop measurement. The
+/// ladder itself is pure arithmetic on that run and emits nothing.
+///
 /// # Errors
 ///
-/// As for [`vmin_test_with`](crate::vmin_test_with), plus
+/// Propagates simulation failures from the anchoring domain run, plus
 /// [`DomainError::Checkpoint`] from resume verification or a failed
 /// checkpoint write.
 pub fn vmin_test_resumable(

@@ -159,7 +159,9 @@ pub struct VminResult {
     pub ladder: Vec<(f64, Vec<Outcome>)>,
 }
 
-/// Runs a V_MIN campaign for `kernel` on a copy of `domain`.
+/// Runs a V_MIN campaign for `kernel` on a copy of `domain` to
+/// completion. For telemetry, checkpointing or a batch limit, use
+/// [`vmin_test_resumable`].
 ///
 /// # Errors
 ///
@@ -170,25 +172,6 @@ pub fn vmin_test(
     model: &FailureModel,
     config: &VminConfig,
 ) -> Result<VminResult, DomainError> {
-    vmin_test_with(domain, kernel, model, config, Telemetry::noop())
-}
-
-/// Like [`vmin_test`], charging the single physical domain run to
-/// `telemetry` — counters, spans and (when a wave sink is attached) the
-/// `cpu.*` / `pdn.*` waveform traces of the droop measurement that anchors
-/// the whole ladder. The ladder itself is pure arithmetic on that run and
-/// emits nothing.
-///
-/// # Errors
-///
-/// Propagates simulation failures from the underlying domain run.
-pub fn vmin_test_with(
-    domain: &VoltageDomain,
-    kernel: &Kernel,
-    model: &FailureModel,
-    config: &VminConfig,
-    telemetry: Telemetry,
-) -> Result<VminResult, DomainError> {
     // No batch limit in the default options, so the drive always runs to
     // completion.
     let result = vmin_test_resumable(
@@ -196,7 +179,7 @@ pub fn vmin_test_with(
         kernel,
         model,
         config,
-        telemetry,
+        Telemetry::noop(),
         &DriveOptions::default(),
     )?;
     Ok(result.expect("campaign without a batch limit always completes"))

@@ -8,9 +8,9 @@
 use emvolt::prelude::*;
 
 fn sweep(domain: &VoltageDomain, seed: u64) -> Result<f64, Box<dyn std::error::Error>> {
-    let mut bench = EmBench::new(seed);
     let cfg = FastSweepConfig::for_domain(domain);
-    let result = fast_resonance_sweep(domain, &mut bench, &cfg)?;
+    let mut backend = LiveBackend::single(domain.clone(), EmBench::new(seed), cfg.run.clone());
+    let result = fast_resonance_sweep_on(&mut backend, domain.name(), &cfg)?;
     Ok(result.resonance_hz)
 }
 

@@ -15,7 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Golden reference captured at manufacturing time.
     let golden_board = VoltageDomain::new("A72", CoreModel::cortex_a72(), a72_pdn(), 1.2e9);
     let cfg = FastSweepConfig::for_domain(&golden_board);
-    let golden = fingerprint(&golden_board, &mut EmBench::new(1), &cfg)?;
+    let mut backend = LiveBackend::single(golden_board.clone(), EmBench::new(1), cfg.run.clone());
+    let golden = fingerprint(&mut backend, golden_board.name(), &cfg)?;
     println!(
         "golden fingerprint: resonance {:.1} MHz, peak {:.1} dBm",
         golden.resonance_hz / 1e6,
@@ -24,7 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let audit = |label: &str, board: &VoltageDomain| -> Result<(), Box<dyn std::error::Error>> {
         let cfg = FastSweepConfig::for_domain(board);
-        let fp = fingerprint(board, &mut EmBench::new(2), &cfg)?;
+        let mut backend = LiveBackend::single(board.clone(), EmBench::new(2), cfg.run.clone());
+        let fp = fingerprint(&mut backend, board.name(), &cfg)?;
         match compare(&golden, &fp, 0.05) {
             TamperVerdict::Clean => {
                 println!("{label:<32} {:.1} MHz  -> clean", fp.resonance_hz / 1e6)

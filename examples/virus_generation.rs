@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // EM-driven: no probe, just the antenna.
-    let mut bench = EmBench::new(7);
-    let em_virus = generate_em_virus("amdEm", &amd.domain, &mut bench, &config)?;
+    let mut backend = LiveBackend::single(amd.domain.clone(), EmBench::new(7), config.run.clone());
+    let em_virus = generate_em_virus_on("amdEm", &mut backend, amd.domain.name(), &config)?;
     println!(
         "EM-driven virus:       {:>7.1} dBm at {:>5.1} MHz (campaign {})",
         em_virus.fitness,

@@ -356,8 +356,44 @@ fn backend_from(
     Ok(backend)
 }
 
-fn seed(flags: &HashMap<String, String>) -> u64 {
-    flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(42)
+/// Parses a numeric flag strictly: absent gives `default`; a value that
+/// does not parse is a hard error naming the flag and what it expects.
+fn parse_number<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: T,
+    expected: &str,
+) -> Result<T, Box<dyn Error>> {
+    match flags.get(name) {
+        None => Ok(default),
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("--{name} {raw}: expected {expected}").into()),
+    }
+}
+
+/// Parses `--seed` strictly (default 42).
+fn parse_seed(flags: &HashMap<String, String>) -> Result<u64, Box<dyn Error>> {
+    parse_number(flags, "seed", 42, "an unsigned 64-bit integer")
+}
+
+/// Builds the virus GA configuration from `--population`,
+/// `--generations` and `--seed`, rejecting sizes the GA cannot run
+/// before any campaign starts.
+fn ga_config_from(flags: &HashMap<String, String>) -> Result<GaConfig, Box<dyn Error>> {
+    let ga = GaConfig {
+        population: parse_number(flags, "population", 20, "a positive integer")?,
+        generations: parse_number(flags, "generations", 15, "a positive integer")?,
+        seed: parse_seed(flags)?,
+        ..GaConfig::default()
+    };
+    ga.validate().map_err(|e| {
+        format!(
+            "--population {} --generations {}: {e}",
+            ga.population, ga.generations
+        )
+    })?;
+    Ok(ga)
 }
 
 /// Largest accepted `--lanes` width. Far above any useful batch width
@@ -369,15 +405,11 @@ const MAX_LANES: usize = 64;
 /// detected SIMD level's preferred width"; anything non-numeric or above
 /// [`MAX_LANES`] is a hard error naming the accepted range.
 fn parse_lanes(flags: &HashMap<String, String>) -> Result<usize, Box<dyn Error>> {
-    let Some(raw) = flags.get("lanes") else {
-        return Ok(0);
-    };
-    let lanes: usize = raw
-        .parse()
-        .map_err(|_| format!("--lanes {raw}: expected an integer in 0..={MAX_LANES} (0 = auto)"))?;
+    let expected = format!("an integer in 0..={MAX_LANES} (0 = auto)");
+    let lanes: usize = parse_number(flags, "lanes", 0, &expected)?;
     if lanes > MAX_LANES {
         return Err(format!(
-            "--lanes {raw}: accepted range is 0..={MAX_LANES} (0 = auto; \
+            "--lanes {lanes}: accepted range is 0..={MAX_LANES} (0 = auto; \
              results are bit-identical at any width)"
         )
         .into());
@@ -388,15 +420,7 @@ fn parse_lanes(flags: &HashMap<String, String>) -> Result<usize, Box<dyn Error>>
 /// Parses `--threads` strictly: `0` (the default) means one worker per
 /// core; anything non-numeric is a hard error.
 fn parse_threads(flags: &HashMap<String, String>) -> Result<usize, Box<dyn Error>> {
-    flags
-        .get("threads")
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| format!("--threads {s}: expected a non-negative integer (0 = auto)"))
-        })
-        .transpose()
-        .map(|t| t.unwrap_or(0))
-        .map_err(Into::into)
+    parse_number(flags, "threads", 0, "a non-negative integer (0 = auto)")
 }
 
 /// Builds the step-engine options from the shared campaign flag group:
@@ -503,6 +527,7 @@ fn cmd_platforms() {
 
 fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let domain = build_platform(flags)?;
+    let seed = parse_seed(flags)?;
     let (tel, trace) = telemetry_from(flags)?;
     let opts = drive_options_from(flags)?;
     let mut cfg = FastSweepConfig {
@@ -510,7 +535,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         ..FastSweepConfig::for_domain(&domain)
     };
     apply_solver_flags(flags, &mut cfg.run)?;
-    let mut backend = backend_from(flags, &domain, seed(flags), &cfg.run)?;
+    let mut backend = backend_from(flags, &domain, seed, &cfg.run)?;
     eprintln!(
         "sweeping {} ({} powered cores) ...",
         domain.name(),
@@ -588,31 +613,20 @@ fn cmd_impedance(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> 
 
 fn cmd_virus(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let domain = build_platform(flags)?;
-    let population = flags
-        .get("population")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
-    let generations = flags
-        .get("generations")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(15);
+    let ga = ga_config_from(flags)?;
+    let (population, generations, seed) = (ga.population, ga.generations, ga.seed);
     let (tel, trace) = telemetry_from(flags)?;
     let opts = drive_options_from(flags)?;
     let progress = flags.contains_key("progress");
     let mut cfg = VirusGenConfig {
-        ga: GaConfig {
-            population,
-            generations,
-            seed: seed(flags),
-            ..GaConfig::default()
-        },
+        ga,
         loaded_cores: domain.active_cores(),
         samples_per_individual: 5,
         telemetry: tel.clone(),
         ..VirusGenConfig::default()
     };
     apply_solver_flags(flags, &mut cfg.run)?;
-    let mut backend = backend_from(flags, &domain, seed(flags), &cfg.run)?;
+    let mut backend = backend_from(flags, &domain, seed, &cfg.run)?;
     eprintln!(
         "evolving a dI/dt virus on {} ({population} x {generations}) ...",
         domain.name()
@@ -860,6 +874,39 @@ mod tests {
             let err = parse_lanes(&flags).unwrap_err().to_string();
             assert!(err.contains("0..=64"), "{err}");
         }
+    }
+
+    #[test]
+    fn ga_size_and_seed_flags_are_validated() {
+        let parse = |args: &[&str]| {
+            let spec = FlagSpec::for_command("virus").unwrap();
+            let flags = parse_flags("virus", &argv(args), &spec).unwrap();
+            ga_config_from(&flags).map_err(|e| e.to_string())
+        };
+        // Absent: the documented defaults.
+        let ga = parse(&[]).unwrap();
+        assert_eq!((ga.population, ga.generations, ga.seed), (20, 15, 42));
+        let ga = parse(&["--population", "3", "--generations", "1", "--seed", "7"]).unwrap();
+        assert_eq!((ga.population, ga.generations, ga.seed), (3, 1, 7));
+        // Sizes the GA cannot run, and values that do not parse, are
+        // errors before any campaign starts — never a panic or a silent
+        // fallback to the default.
+        for (args, needle) in [
+            (&["--population", "2"][..], "elitism"),
+            (&["--population", "1"][..], "population"),
+            (&["--generations", "0"][..], "generations"),
+            (&["--population", "abc"][..], "--population abc: expected"),
+            (&["--generations", "-1"][..], "--generations -1: expected"),
+            (&["--seed", "xyz"][..], "--seed xyz: expected"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+        // The sweep reads the same seed flag just as strictly.
+        let mut flags = HashMap::new();
+        flags.insert("seed".to_owned(), "-5".to_owned());
+        let err = parse_seed(&flags).unwrap_err().to_string();
+        assert!(err.contains("--seed -5: expected"), "{err}");
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! | [`cpu`] | `emvolt-cpu` | cycle-level current-trace models |
 //! | [`em`] | `emvolt-em` | antenna + radiation channel |
 //! | [`inst`] | `emvolt-inst` | spectrum analyzer, oscilloscope, VNA |
-//! | [`ga`] | `emvolt-ga` | the genetic-algorithm engine |
+//! | [`ga`] | `emvolt-ga` | the genetic algorithm (`GaState` loop) |
 //! | [`engine`] | `emvolt-engine` | resumable step-engine, checkpoint store |
 //! | [`platform`] | `emvolt-platform` | Juno/AMD boards, workloads, EM rig |
 //! | [`vmin`] | `emvolt-vmin` | V_MIN harness and failure model |
@@ -75,11 +75,11 @@ pub use emvolt_vmin as vmin;
 pub mod prelude {
     pub use emvolt_backend::{BackendSpec, LiveBackend, MeasurementBackend};
     pub use emvolt_core::{
-        fast_resonance_sweep, fast_resonance_sweep_on, generate_em_virus, generate_em_virus_on,
-        generate_voltage_virus, Characterization, FastSweepConfig, VirusGenConfig,
+        fast_resonance_sweep_on, generate_em_virus_on, generate_voltage_virus, Characterization,
+        FastSweepConfig, VirusGenConfig,
     };
     pub use emvolt_cpu::{CoreModel, Cpu, SimConfig};
-    pub use emvolt_ga::{GaConfig, GaEngine, KernelRepresentation};
+    pub use emvolt_ga::{GaConfig, GaState, KernelRepresentation};
     pub use emvolt_isa::{Architecture, InstructionPool, Isa, Kernel};
     pub use emvolt_pdn::{Pdn, PdnParams};
     pub use emvolt_platform::{
