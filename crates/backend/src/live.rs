@@ -547,7 +547,9 @@ impl MeasurementBackend for LiveBackend {
                     let bits = u64::from_str_radix(value, 16).map_err(|e| {
                         BackendError::Store(format!("bad elapsed bits `{value}`: {e}"))
                     })?;
-                    self.bench.restore_elapsed(f64::from_bits(bits));
+                    self.bench
+                        .restore_elapsed(f64::from_bits(bits))
+                        .map_err(|e| BackendError::Store(e.to_string()))?;
                 }
                 other => {
                     return Err(BackendError::Store(format!(
@@ -841,6 +843,32 @@ mod tests {
             let want = serial_be.measure(req, &tel).unwrap();
             assert_eq!(want.reading, got.as_ref().unwrap().reading);
         }
+    }
+
+    fn elapsed_state(total_s: f64) -> Vec<(String, String)> {
+        vec![("elapsed".to_string(), format!("{:016x}", total_s.to_bits()))]
+    }
+
+    /// A corrupt checkpoint total is a typed error, not a panic, and
+    /// leaves the rig's clock as it was.
+    #[test]
+    fn restore_rejects_non_finite_or_negative_elapsed() {
+        let mut be = backend();
+        be.restore_rig_state(&elapsed_state(3.5)).unwrap();
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let err = be.restore_rig_state(&elapsed_state(bad)).unwrap_err();
+            assert!(matches!(err, BackendError::Store(_)), "{bad}: {err:?}");
+            assert_eq!(be.elapsed_seconds(), 3.5, "{bad} moved the clock");
+        }
+    }
+
+    /// A total earlier than the current one (a rewind) restores exactly.
+    #[test]
+    fn restore_rewinds_elapsed_to_an_earlier_total() {
+        let mut be = backend();
+        be.restore_rig_state(&elapsed_state(3.5)).unwrap();
+        be.restore_rig_state(&elapsed_state(1.25)).unwrap();
+        assert_eq!(be.elapsed_seconds(), 1.25);
     }
 
     #[test]

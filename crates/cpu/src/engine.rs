@@ -153,8 +153,7 @@ const NO_PRODUCER: u64 = u64::MAX;
 
 #[derive(Debug, Clone)]
 struct DynOp {
-    /// Index into the kernel body, or `usize::MAX` for the implicit
-    /// back-branch.
+    /// Dynamic ids of the op's RAW producers (the first `dep_count`).
     deps: [u64; 2],
     dep_count: u8,
     fu: FuKind,
@@ -302,12 +301,9 @@ impl Cpu {
         let slots = statics.len();
 
         // --- Engine state -------------------------------------------------
-        let mut fu_free: std::collections::BTreeMap<FuKind, Vec<u64>> = self
-            .model
-            .fu_counts
-            .iter()
-            .map(|(&k, &n)| (k, vec![0u64; n as usize]))
-            .collect();
+        // Per-unit-kind state is indexed by `FuKind as usize`.
+        let mut fu_free: [Vec<u64>; FuKind::ALL.len()] =
+            FuKind::ALL.map(|k| vec![0u64; self.model.fu_count(k) as usize]);
         let mut last_writer = [NO_PRODUCER; REG_SPACE];
         let mut completion: Vec<u64> = Vec::new(); // dyn id -> completion cycle
         let mut dyn_current: Vec<f64> = Vec::new();
@@ -316,8 +312,7 @@ impl Cpu {
         let mut iterations_done: usize = 0;
         let mut record_start: Option<u64> = None;
         let mut issued_since_start: u64 = 0;
-        let mut fu_issues: std::collections::BTreeMap<FuKind, u64> =
-            std::collections::BTreeMap::new();
+        let mut fu_issues = [0u64; FuKind::ALL.len()];
         let mut iter_start_cycle: Option<u64> = None;
         let mut iters_in_window: usize = 0;
 
@@ -346,7 +341,12 @@ impl Cpu {
         } else {
             self.model.issue_width as usize
         };
-        let mut window: VecDeque<(u64, DynOp, bool)> = VecDeque::new(); // (id, op, issued)
+        // The window holds `(id, issued)` in fetch order and retires from
+        // the front; ids are contiguous, so op `id` sits at
+        // `window[id - front_id]`. The issue scan walks only `pending`,
+        // the fetched-but-unissued ops in the same (age) order.
+        let mut window: VecDeque<(u64, bool)> = VecDeque::new();
+        let mut pending: Vec<(u64, DynOp)> = Vec::new();
         let mut jitter_rng = StdRng::seed_from_u64(config.jitter_seed);
         let mut fetch_stall: u32 = 0;
         // Per-cycle probability of an interference event.
@@ -356,7 +356,8 @@ impl Cpu {
             0.0
         };
 
-        let fetch = |window: &mut VecDeque<(u64, DynOp, bool)>,
+        let fetch = |window: &mut VecDeque<(u64, bool)>,
+                     pending: &mut Vec<(u64, DynOp)>,
                      fetched: &mut u64,
                      last_writer: &mut [u64; REG_SPACE],
                      completion: &mut Vec<u64>| {
@@ -388,7 +389,8 @@ impl Cpu {
                 last_writer[dst] = id;
             }
             completion.push(u64::MAX);
-            window.push_back((id, d, false));
+            window.push_back((id, false));
+            pending.push((id, d));
             *fetched += 1;
         };
 
@@ -408,7 +410,13 @@ impl Cpu {
                     fetch_stall = jitter_rng.gen_range(lo.max(1)..=hi.max(lo.max(1)));
                 } else {
                     while window.len() < window_cap {
-                        fetch(&mut window, &mut fetched, &mut last_writer, &mut completion);
+                        fetch(
+                            &mut window,
+                            &mut pending,
+                            &mut fetched,
+                            &mut last_writer,
+                            &mut completion,
+                        );
                     }
                 }
             }
@@ -416,51 +424,40 @@ impl Cpu {
             // Issue.
             let mut issued = 0u32;
             let in_order = !self.model.out_of_order;
-            for slot_ref in window.iter_mut() {
+            let front_id = window.front().map_or(0, |&(id, _)| id);
+            for (id, d) in &pending {
                 if issued >= self.model.issue_width {
                     break;
                 }
-                let (id, d, done) = (&slot_ref.0, &slot_ref.1, &mut slot_ref.2);
-                if *done {
-                    continue;
-                }
-                // Dependency check: all producers completed by now.
-                let mut ready = true;
-                for k in 0..d.dep_count as usize {
-                    let c = completion[d.deps[k] as usize];
-                    if c == u64::MAX || c > cycle {
-                        ready = false;
-                        break;
-                    }
-                }
+                // Dependency check: all producers completed by now (an
+                // unissued producer's completion is `u64::MAX`).
+                let ready = d.deps[..d.dep_count as usize]
+                    .iter()
+                    .all(|&p| completion[p as usize] <= cycle);
                 // FU availability.
-                let mut fu_slot: Option<usize> = None;
-                if ready {
-                    if let Some(units) = fu_free.get(&d.fu) {
-                        fu_slot = units.iter().position(|&free| free <= cycle);
-                    }
-                    if fu_slot.is_none() {
-                        ready = false;
-                    }
-                }
-                if ready {
-                    let unit = fu_slot.expect("checked above");
+                let units = &mut fu_free[d.fu as usize];
+                let free_unit = if ready {
+                    units.iter().position(|&free| free <= cycle)
+                } else {
+                    None
+                };
+                if let Some(unit) = free_unit {
                     let busy_until = if d.unpipelined {
                         cycle + d.latency as u64
                     } else {
                         cycle + 1
                     };
-                    fu_free.get_mut(&d.fu).expect("fu exists")[unit] = busy_until;
+                    units[unit] = busy_until;
                     completion[*id as usize] = cycle + d.latency as u64;
                     add_current(&mut dyn_current, cycle, d.issue_current);
                     for t in 1..d.latency as u64 {
                         add_current(&mut dyn_current, cycle + t, d.active_current);
                     }
-                    *done = true;
+                    window[(id - front_id) as usize].1 = true;
                     issued += 1;
                     if record_start.is_some() {
                         issued_since_start += 1;
-                        *fu_issues.entry(d.fu).or_insert(0) += 1;
+                        fu_issues[d.fu as usize] += 1;
                     }
                     if d.ends_iteration {
                         iterations_done += 1;
@@ -477,19 +474,23 @@ impl Cpu {
                 }
             }
 
+            if issued > 0 {
+                pending.retain(|(id, _)| !window[(id - front_id) as usize].1);
+            }
+
             // Retire front entries so the window admits new work. The
             // in-order engine uses the window purely as an issue buffer
             // (completion is tracked in the scoreboard), while the
             // out-of-order engine retires in order on completion, like a
             // reorder buffer.
             if in_order {
-                while window.front().map(|(_, _, done)| *done).unwrap_or(false) {
+                while window.front().map(|&(_, done)| done).unwrap_or(false) {
                     window.pop_front();
                 }
             } else {
                 while window
                     .front()
-                    .map(|(id, _, done)| *done && completion[*id as usize] <= cycle + 1)
+                    .map(|&(id, done)| done && completion[id as usize] <= cycle + 1)
                     .unwrap_or(false)
                 {
                     window.pop_front();
@@ -530,7 +531,12 @@ impl Cpu {
                         ipc,
                         cycles_per_iteration,
                         clock_hz: self.freq_hz,
-                        fu_issues,
+                        // Only kinds that issued in the recorded window.
+                        fu_issues: FuKind::ALL
+                            .into_iter()
+                            .zip(fu_issues)
+                            .filter(|&(_, n)| n > 0)
+                            .collect(),
                     });
                 }
             }

@@ -2,16 +2,22 @@
 
 use emvolt_dsp::{dbm_to_watts, watts_to_dbm, SpectralBins};
 use rand::Rng;
-use rand_distr_normal::sample_normal;
+use rand_distr_normal::{box_muller, uniforms};
 
 /// Gaussian sampling helper without an extra dependency.
 mod rand_distr_normal {
     use rand::Rng;
 
-    /// Box–Muller standard-normal sample scaled to `sigma`.
-    pub fn sample_normal<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
+    /// The two uniform draws one Box–Muller sample consumes, in draw order.
+    pub fn uniforms<R: Rng>(rng: &mut R) -> (f64, f64) {
         let u1: f64 = rng.gen_range(1e-12..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
+        (u1, u2)
+    }
+
+    /// Box–Muller standard-normal sample from [`uniforms`], scaled to
+    /// `sigma`.
+    pub fn box_muller((u1, u2): (f64, f64), sigma: f64) -> f64 {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * sigma
     }
 }
@@ -63,17 +69,12 @@ pub struct SweepReading {
 impl SweepReading {
     /// The marker peak: highest-level point within `[lo, hi]` Hz.
     pub fn peak_in_band(&self, lo: f64, hi: f64) -> Option<(f64, f64)> {
-        peak_in_band_points(&self.points, lo, hi)
+        self.points
+            .iter()
+            .filter(|(f, _)| *f >= lo && *f <= hi)
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .copied()
     }
-}
-
-/// Highest-level `(frequency, level)` point within `[lo, hi]` Hz.
-fn peak_in_band_points(points: &[(f64, f64)], lo: f64, hi: f64) -> Option<(f64, f64)> {
-    points
-        .iter()
-        .filter(|(f, _)| *f >= lo && *f <= hi)
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .copied()
 }
 
 /// A swept spectrum analyzer measuring the voltage spectrum at its input.
@@ -137,62 +138,64 @@ impl SpectrumAnalyzer {
     /// already skips zero-amplitude bins, and a band view reads zero
     /// outside its covered range.
     pub fn sweep<R: Rng, S: SpectralBins>(&mut self, input: &S, rng: &mut R) -> SweepReading {
-        let mut points = Vec::with_capacity(self.config.points);
-        self.sweep_into(input, rng, &mut points);
+        self.elapsed_s += self.config.sweep_time_s;
+        let sigma_db = self.config.noise_sigma_db;
+        let points = (0..self.config.points)
+            .map(|i| {
+                let level = self.level_at(input, i) + box_muller(uniforms(rng), sigma_db);
+                (self.point_hz(i), level)
+            })
+            .collect();
         SweepReading { points }
     }
 
-    /// Fills `points` with one displayed sweep, reusing the buffer's
-    /// capacity — lets [`SpectrumAnalyzer::peak_metric`] run its `n`
-    /// sweeps through one buffer instead of allocating per sweep.
-    fn sweep_into<R: Rng, S: SpectralBins>(
-        &mut self,
-        input: &S,
-        rng: &mut R,
-        points: &mut Vec<(f64, f64)>,
-    ) {
-        self.elapsed_s += self.config.sweep_time_s;
+    /// Centre frequency of display point `i` in Hz.
+    fn point_hz(&self, i: usize) -> f64 {
         let c = &self.config;
-        let n = c.points;
         let span = c.stop_hz - c.start_hz;
-        let sigma = c.rbw_hz / 2.355; // FWHM -> sigma
-        let floor_w = dbm_to_watts(c.noise_floor_dbm);
+        c.start_hz + span * i as f64 / (c.points - 1) as f64
+    }
 
-        points.clear();
-        points.reserve(n);
-        for i in 0..n {
-            let f_center = c.start_hz + span * i as f64 / (n - 1) as f64;
-            // Positive-peak detector through the Gaussian RBW filter: the
-            // displayed level is the strongest RBW-weighted component in
-            // view, which reads a narrowband spike at exactly its power
-            // without double-counting the analysis window's main lobe.
-            let lo = f_center - 4.0 * sigma;
-            let hi = f_center + 4.0 * sigma;
-            let mut power_w = 0.0f64;
-            if !input.is_empty() {
-                let k0 = ((lo / input.freq_step()).floor().max(0.0)) as usize;
-                let k1 = (((hi / input.freq_step()).ceil()) as usize).min(input.len() - 1);
-                for k in k0..=k1 {
-                    let a = input.amplitude_at(k);
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let df = input.freq_at(k) - f_center;
-                    let w = (-0.5 * (df / sigma) * (df / sigma)).exp();
-                    // Sine of amplitude a into R: P = a^2 / (2R).
-                    power_w = power_w.max(w * a * a / (2.0 * c.input_ohms));
+    /// Noise-free displayed level of point `i` in dBm.
+    fn level_at<S: SpectralBins>(&self, input: &S, i: usize) -> f64 {
+        let c = &self.config;
+        let f_center = self.point_hz(i);
+        // Positive-peak detector through the Gaussian RBW filter: the
+        // displayed level is the strongest RBW-weighted component in
+        // view, which reads a narrowband spike at exactly its power
+        // without double-counting the analysis window's main lobe.
+        let sigma = c.rbw_hz / 2.355; // FWHM -> sigma
+        let lo = f_center - 4.0 * sigma;
+        let hi = f_center + 4.0 * sigma;
+        let mut power_w = 0.0f64;
+        if !input.is_empty() {
+            let k0 = ((lo / input.freq_step()).floor().max(0.0)) as usize;
+            let k1 = (((hi / input.freq_step()).ceil()) as usize).min(input.len() - 1);
+            for k in k0..=k1 {
+                let a = input.amplitude_at(k);
+                if a == 0.0 {
+                    continue;
                 }
+                let df = input.freq_at(k) - f_center;
+                let w = (-0.5 * (df / sigma) * (df / sigma)).exp();
+                // Sine of amplitude a into R: P = a^2 / (2R).
+                power_w = power_w.max(w * a * a / (2.0 * c.input_ohms));
             }
-            let total_w = power_w + floor_w;
-            let level = watts_to_dbm(total_w) + sample_normal(rng, c.noise_sigma_db);
-            points.push((f_center, level));
         }
+        watts_to_dbm(power_w + dbm_to_watts(c.noise_floor_dbm))
     }
 
     /// The paper's GA fitness metric: the *mean root square* of `n`
     /// max-amplitude marker readings in `[lo, hi]` Hz — `n` sweeps are
     /// taken, each contributing its band peak in linear power; the metric
     /// is the RMS of those peaks, reported in dBm.
+    ///
+    /// Bit-identical to `n` [`SpectrumAnalyzer::sweep`]s (at least one)
+    /// each read with [`SweepReading::peak_in_band`], but only the noise
+    /// differs between sweeps: each in-band point's noise-free level is
+    /// computed once, and every sweep after that is a noise-only pass.
+    /// Each display point still draws its noise in point order, so the
+    /// RNG stream is unchanged; only in-band points pay for the transform.
     ///
     /// Returns `(metric_dbm, dominant_frequency_hz)`.
     pub fn peak_metric<R: Rng, S: SpectralBins>(
@@ -208,10 +211,28 @@ impl SpectrumAnalyzer {
             std::collections::BTreeMap::new();
         let mut best_freq = lo;
         let mut hits = 0usize;
-        let mut points: Vec<(f64, f64)> = Vec::with_capacity(self.config.points);
+        // `(frequency, noise-free level)` of in-band points, `None` elsewhere.
+        let trace: Vec<Option<(f64, f64)>> = (0..self.config.points)
+            .map(|i| {
+                let f = self.point_hz(i);
+                (f >= lo && f <= hi).then(|| (f, self.level_at(input, i)))
+            })
+            .collect();
+        let sigma_db = self.config.noise_sigma_db;
         for _ in 0..n.max(1) {
-            self.sweep_into(input, rng, &mut points);
-            if let Some((f, dbm)) = peak_in_band_points(&points, lo, hi) {
+            self.elapsed_s += self.config.sweep_time_s;
+            // Band peak; a tie goes to the later point, as in `max_by`.
+            let mut peak: Option<(f64, f64)> = None;
+            for point in &trace {
+                let u = uniforms(rng);
+                if let Some((f, base)) = *point {
+                    let level = base + box_muller(u, sigma_db);
+                    if peak.is_none_or(|(_, best)| level.total_cmp(&best).is_ge()) {
+                        peak = Some((f, level));
+                    }
+                }
+            }
+            if let Some((f, dbm)) = peak {
                 let p = dbm_to_watts(dbm);
                 acc += p * p;
                 hits += 1;

@@ -155,6 +155,21 @@ pub enum FuKind {
     BranchUnit,
 }
 
+impl FuKind {
+    /// All kinds in declaration order: `FuKind::ALL[k as usize] == k`, so
+    /// per-kind state can live in arrays indexed by `kind as usize`.
+    pub const ALL: [FuKind; 8] = [
+        FuKind::Alu,
+        FuKind::Mul,
+        FuKind::Div,
+        FuKind::Fpu,
+        FuKind::FpDiv,
+        FuKind::SimdUnit,
+        FuKind::LoadStore,
+        FuKind::BranchUnit,
+    ];
+}
+
 /// The arithmetic behaviour of an operation, used by the functional
 /// executor to compute golden outputs for silent-data-corruption checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -784,6 +799,13 @@ mod tests {
                 let cat = o.class.mix_category();
                 assert!(MixCategory::ALL.contains(&cat));
             }
+        }
+    }
+
+    #[test]
+    fn fu_kind_all_is_indexed_by_discriminant() {
+        for (k, kind) in FuKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, k);
         }
     }
 

@@ -2,7 +2,7 @@
 //! platform, plus helpers that run the full physics chain
 //! (kernel -> current -> PDN -> radiation -> analyzer).
 
-use crate::domain::DomainRun;
+use crate::domain::{DomainError, DomainRun};
 use emvolt_dsp::{
     of_samples_band_multi_into, of_trace_band_into, BandSpectrum, GoertzelScratch, Spectrum,
     SpectrumScratch, Window,
@@ -299,12 +299,23 @@ impl EmBench {
         self.rng = StdRng::from_state(s);
     }
 
-    /// Rewinds or advances the analyzer's occupancy clock to an absolute
-    /// total, for checkpoint restore (the underlying analyzer only counts
-    /// forward, so this adds the delta to the current total).
-    pub fn restore_elapsed(&mut self, total_s: f64) {
-        self.analyzer
-            .advance_elapsed(total_s - self.analyzer.elapsed());
+    /// Sets the analyzer's occupancy clock to an absolute total, for
+    /// checkpoint restore; the total may lie before or after the current
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DomainError::Checkpoint`] when `total_s` is negative or
+    /// not finite; the clock is left unchanged.
+    pub fn restore_elapsed(&mut self, total_s: f64) -> Result<(), DomainError> {
+        if !(total_s.is_finite() && total_s >= 0.0) {
+            return Err(DomainError::Checkpoint(format!(
+                "elapsed total {total_s} s is not a finite non-negative time"
+            )));
+        }
+        self.analyzer.reset_elapsed();
+        self.analyzer.advance_elapsed(total_s);
+        Ok(())
     }
 }
 
