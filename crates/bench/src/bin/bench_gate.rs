@@ -15,8 +15,8 @@
 //! path, not single-digit-percent drift). Missing records fail too, so
 //! renaming an entry forces a deliberate baseline update.
 //!
-//! The gate also checks two structural invariants that survive machine
-//! changes, both computed *within the fresh run* — same-machine ratios,
+//! The gate also checks these structural invariants that survive machine
+//! changes, all computed *within the fresh run* — same-machine ratios,
 //! immune to runner speed:
 //!
 //! - `full_chain_baseline` (auto-selected fast path) must stay at least
@@ -37,6 +37,11 @@
 //!   path (`ga_campaign_noop_recorder`) — the step-engine's snapshot
 //!   and atomic-rename cost must never tax an uncheckpointed-equivalent
 //!   campaign noticeably.
+//!
+//! Finally, `ga_campaign_noop_recorder` in that fresh `BENCH_ga.json`
+//! is held to the committed `BENCH_ga.json` beside the committed eval
+//! file at the same tolerance as the `full_chain_*` floors: an absolute
+//! floor on the GA campaign end to end.
 
 use serde::{DeError, Deserialize, Value};
 use std::process::ExitCode;
@@ -126,21 +131,7 @@ fn main() -> ExitCode {
         .iter()
         .filter(|(n, _)| n.starts_with("full_chain"))
     {
-        match fresh.get(name) {
-            Some(fresh_min) if fresh_min <= base_min * tolerance => {
-                eprintln!("ok   {name:<28} {fresh_min:.3} ms (baseline {base_min:.3} ms)");
-            }
-            Some(fresh_min) => {
-                eprintln!(
-                    "FAIL {name:<28} {fresh_min:.3} ms exceeds {base_min:.3} ms * {tolerance}"
-                );
-                failed = true;
-            }
-            None => {
-                eprintln!("FAIL {name:<28} missing from {fresh_path}");
-                failed = true;
-            }
-        }
+        failed |= !floor_holds(name, *base_min, fresh.get(name), tolerance, &fresh_path);
     }
 
     // Same-run speedup floor: insensitive to absolute runner speed.
@@ -234,10 +225,7 @@ fn main() -> ExitCode {
     // one-shot entry point. Both floors come from the same run on the
     // same machine, so the ratio is immune to runner speed.
     const CHECKPOINT_CEILING: f64 = 1.03;
-    let ga_path = std::path::Path::new(&fresh_path)
-        .with_file_name("BENCH_ga.json")
-        .to_string_lossy()
-        .into_owned();
+    let ga_path = beside(&fresh_path, "BENCH_ga.json");
     let ga = load(&ga_path);
     match (
         ga.get("checkpoint_overhead"),
@@ -264,11 +252,60 @@ fn main() -> ExitCode {
         }
     }
 
+    // Absolute GA-campaign floor: the committed `BENCH_ga.json` beside
+    // the committed eval file, at the full-chain tolerance. The batched
+    // chain's partial lane groups show up here first, since every GA
+    // generation ends in one.
+    const GA_FLOOR: &str = "ga_campaign_noop_recorder";
+    let ga_baseline_path = beside(&baseline_path, "BENCH_ga.json");
+    match load(&ga_baseline_path).get(GA_FLOOR) {
+        Some(base_min) => {
+            failed |= !floor_holds(GA_FLOOR, base_min, ga.get(GA_FLOOR), tolerance, &ga_path);
+        }
+        None => {
+            eprintln!("FAIL {ga_baseline_path} lacks {GA_FLOOR}");
+            failed = true;
+        }
+    }
+
     if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// Checks one absolute floor, `fresh_min <= base_min * tolerance`, and
+/// logs the verdict; a record missing from the fresh run fails.
+fn floor_holds(
+    name: &str,
+    base_min: f64,
+    fresh_min: Option<f64>,
+    tolerance: f64,
+    fresh_path: &str,
+) -> bool {
+    match fresh_min {
+        Some(fresh_min) if fresh_min <= base_min * tolerance => {
+            eprintln!("ok   {name:<28} {fresh_min:.3} ms (baseline {base_min:.3} ms)");
+            true
+        }
+        Some(fresh_min) => {
+            eprintln!("FAIL {name:<28} {fresh_min:.3} ms exceeds {base_min:.3} ms * {tolerance}");
+            false
+        }
+        None => {
+            eprintln!("FAIL {name:<28} missing from {fresh_path}");
+            false
+        }
+    }
+}
+
+/// The path of `file` in the directory holding `path`.
+fn beside(path: &str, file: &str) -> String {
+    std::path::Path::new(path)
+        .with_file_name(file)
+        .to_string_lossy()
+        .into_owned()
 }
 
 fn usage(msg: &str) -> ! {

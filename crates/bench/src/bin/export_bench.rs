@@ -15,7 +15,15 @@
 //! times the engine-driven campaign checkpointing every batch against
 //! the same campaign run to completion without checkpoints — the
 //! step-engine tentpole requires the
-//! checkpointed path within 3% of it, which `bench_gate` enforces.
+//! checkpointed path within 3% of it, which `bench_gate` enforces;
+//! `bench_gate` also holds `ga_campaign_noop_recorder` to the committed
+//! `BENCH_ga.json` floor.
+//!
+//! The batched records `full_chain_batched_x4` / `_x6` / `_x8` run that
+//! many individuals through one lane-batched chain call; `_x6` is a
+//! partial lane group (not a multiple of the vector width), the shape
+//! of the GA's last group per generation. `bench_gate` holds each one's
+//! per-lane cost against `full_chain_baseline`.
 //!
 //! `bench_gate` consumes the `full_chain_*` records, so warmup must be
 //! long enough that min_ms is a stable floor, not a cold-cache draw.
@@ -221,8 +229,12 @@ fn eval_records() -> Vec<Stats> {
     // fold together, then measured through the multi-lane Goertzel +
     // shared EM transfer path in one call. `ms_per_lane` is the per-eval
     // cost the amortization gate holds against the serial baseline.
+    // The x6 entry is a partial lane group (wider than one AVX2 vector,
+    // narrower than a full 8-lane block), the shape of the GA's last
+    // group per generation.
     for &(name, lanes) in &[
         ("full_chain_batched_x4", 4usize),
+        ("full_chain_batched_x6", 6),
         ("full_chain_batched_x8", 8),
     ] {
         let mut runner = DomainRunner::new(&domain, cfg.clone()).unwrap();

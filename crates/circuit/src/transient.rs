@@ -726,7 +726,13 @@ impl Circuit {
             });
         }
 
-        batch.lanes.resize_with(loads.len(), TransientScratch::new);
+        // Lane scratches beyond this batch's width stay allocated, so a
+        // narrow batch between two wide ones costs no reallocation.
+        let n_lanes = loads.len();
+        if batch.lanes.len() < n_lanes {
+            batch.lanes.resize_with(n_lanes, TransientScratch::new);
+        }
+        batch.active = n_lanes;
         let mut sched = StepSchedule {
             n_steps: 0,
             record_start_idx: 0,
@@ -748,7 +754,6 @@ impl Circuit {
         // arithmetic sequence is exactly the single-run state-space
         // sequence, so every lane stays bit-identical to
         // `transient_scoped` with that load.
-        let n_lanes = loads.len();
         let BatchTransientScratch {
             lanes,
             lane_inputs,
@@ -867,7 +872,7 @@ impl Circuit {
             ],
         );
         if tel.wave_enabled() {
-            for (i, lane) in batch.lanes.iter().enumerate() {
+            for (i, lane) in batch.lanes[..n_lanes].iter().enumerate() {
                 // Lane scratches carry quiet handles; route emission
                 // through the batch's own (coordinator) handle.
                 emit_probe_waves_with(tel, lane, probes, Some(i));
@@ -1370,7 +1375,11 @@ fn record_into(
 /// same scratch overwrites them.
 #[derive(Debug, Clone, Default)]
 pub struct BatchTransientScratch {
+    /// One scratch per lane of the widest batch run so far; the first
+    /// `active` belong to the most recent batch.
     lanes: Vec<TransientScratch>,
+    /// Width of the most recent batch.
+    active: usize,
     /// Input-major `[n_inputs x L]` gather buffer for the SoA step loop:
     /// `lane_inputs[j*L + l]` is lane `l`'s weight for response column
     /// `j`. Recycled across batches like every other scratch buffer.
@@ -1477,7 +1486,7 @@ impl BatchTransientScratch {
 
     /// Number of lanes recorded by the most recent batch run.
     pub fn n_lanes(&self) -> usize {
-        self.lanes.len()
+        self.active
     }
 
     /// Borrowing view over lane `i`'s recorded waveforms.
@@ -1487,7 +1496,7 @@ impl BatchTransientScratch {
     /// Panics if `i` is outside the most recent batch.
     pub fn lane(&self, i: usize) -> TransientView<'_> {
         TransientView {
-            scratch: &self.lanes[i],
+            scratch: &self.lanes[..self.active][i],
         }
     }
 }
@@ -2002,6 +2011,61 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "lane {i} current diverged");
             }
         }
+    }
+
+    /// A batch narrower than the one before it keeps the wider batch's
+    /// lane scratches, and neither the narrow batch nor the wide one
+    /// after it may see their leftovers: widths 8 -> 2 -> 8 through one
+    /// scratch match fresh scratches bit for bit.
+    #[test]
+    fn narrower_batch_reuses_lanes_without_leaking_state() {
+        let (c, _vin, out, l, load) = probe_test_circuit();
+        let cfg = TransientConfig::new(0.1e-9, 0.3e-6).with_warmup(0.05e-6);
+        let plan = c
+            .plan_transient_kernel(cfg.dt, KernelChoice::StateSpace)
+            .unwrap();
+        let probes = TransientProbes::none().with_node(out).with_inductor(l);
+        let loads: Vec<Stimulus> = (0..10)
+            .map(|k| Stimulus::Sine {
+                offset: 0.05 * k as f64,
+                amplitude: 0.2 + 0.03 * k as f64,
+                freq: 40e6 + 9e6 * k as f64,
+                phase: 0.3 * k as f64,
+            })
+            .collect();
+        let bits = |batch: &BatchTransientScratch| -> Vec<Vec<u64>> {
+            (0..batch.n_lanes())
+                .flat_map(|i| {
+                    let lane = batch.lane(i);
+                    [
+                        lane.voltage_samples(out)
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .collect(),
+                        lane.inductor_current_samples(l)
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .collect(),
+                    ]
+                })
+                .collect()
+        };
+
+        let mut reused = BatchTransientScratch::new();
+        for group in [&loads[..8], &loads[8..], &loads[2..]] {
+            c.transient_batch_scoped(&plan, &cfg, &probes, load, group, &mut reused)
+                .unwrap();
+            let mut fresh = BatchTransientScratch::new();
+            c.transient_batch_scoped(&plan, &cfg, &probes, load, group, &mut fresh)
+                .unwrap();
+            assert_eq!(reused.n_lanes(), group.len());
+            assert_eq!(bits(&reused), bits(&fresh), "width {}", group.len());
+            let past_end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                reused.lane(group.len());
+            }));
+            assert!(past_end.is_err(), "lane past the last batch is readable");
+        }
+        assert_eq!(reused.lanes.len(), 8, "the narrow batch dropped lanes");
     }
 
     #[test]

@@ -8,6 +8,16 @@
 //! scalar dispatch level and the vector levels share one definition and
 //! cannot drift apart.
 //!
+//! The lane-major kernels (batched fold, gather and companion updates)
+//! run on lane blocks of compile-time width `B <= 8` (see
+//! `lane_blocks!`): `B / V::W` vectors plus `B % V::W` scalar lanes,
+//! all fixed at monomorphization, so no block runs a runtime-length
+//! tail loop. Runtime tails over a row that the next iteration reads back
+//! were the batched transient's partial-group cliff: the compiler turns
+//! them into masked AVX loads and stores (`vmaskmovpd`), and a masked
+//! load of a row just written by a masked store cannot be forwarded
+//! from the store buffer.
+//!
 //! All functions are `unsafe` only because [`Vf64::load`]/[`Vf64::store`]
 //! take raw pointers; every pointer passed stays inside the bounds of
 //! the slice it came from. Callers must ensure the instantiated vector
@@ -165,6 +175,38 @@ pub(crate) unsafe fn fold_cols<V: Vf64>(
     }
 }
 
+/// Widest lane block a lane-major kernel runs as one compile-time-width
+/// body; wider batches split into blocks of this width plus one
+/// remainder block.
+const MAX_BLOCK: usize = 8;
+
+/// Nodes whose accumulators one fold pass keeps in registers.
+const NODE_BLOCK: usize = 4;
+
+/// Splits `lanes` into [`MAX_BLOCK`]-wide blocks plus one remainder
+/// block and runs `$body::<V, B, ..>(l0, args..)` on each, with the block
+/// width `B` a compile-time constant and `l0` the block's first lane.
+macro_rules! lane_blocks {
+    ($lanes:expr, $body:ident::<$v:ty $(, $extra:tt)*>($($arg:expr),* $(,)?)) => {{
+        let lanes: usize = $lanes;
+        let mut l0 = 0;
+        while l0 < lanes {
+            let width = (lanes - l0).min(MAX_BLOCK);
+            match width {
+                8 => $body::<$v, 8 $(, $extra)*>(l0, $($arg),*),
+                7 => $body::<$v, 7 $(, $extra)*>(l0, $($arg),*),
+                6 => $body::<$v, 6 $(, $extra)*>(l0, $($arg),*),
+                5 => $body::<$v, 5 $(, $extra)*>(l0, $($arg),*),
+                4 => $body::<$v, 4 $(, $extra)*>(l0, $($arg),*),
+                3 => $body::<$v, 3 $(, $extra)*>(l0, $($arg),*),
+                2 => $body::<$v, 2 $(, $extra)*>(l0, $($arg),*),
+                _ => $body::<$v, 1 $(, $extra)*>(l0, $($arg),*),
+            }
+            l0 += width;
+        }
+    }};
+}
+
 /// Lane-major batched fold; see [`crate::SimdLevel::fold_cols_lanes`].
 #[inline(always)]
 pub(crate) unsafe fn fold_cols_lanes<V: Vf64>(
@@ -177,27 +219,90 @@ pub(crate) unsafe fn fold_cols_lanes<V: Vf64>(
     debug_assert!(lanes > 0);
     debug_assert_eq!(xn.len(), n_nodes * lanes);
     debug_assert_eq!(inputs.len() * n_nodes, cols.len() * lanes);
-    xn.fill(0.0);
-    for (col, w) in cols
-        .chunks_exact(n_nodes.max(1))
-        .zip(inputs.chunks_exact(lanes))
-    {
-        for (&ci, acc) in col.iter().zip(xn.chunks_exact_mut(lanes)) {
-            let cv = V::splat(ci);
-            let mut wl = w.chunks_exact(V::W);
-            let mut al = acc.chunks_exact_mut(V::W);
-            for (wc, ac) in wl.by_ref().zip(al.by_ref()) {
-                // SAFETY: both chunks hold exactly V::W elements.
-                unsafe {
-                    V::load(wc.as_ptr())
-                        .fmadd(cv, V::load(ac.as_ptr()))
-                        .store(ac.as_mut_ptr())
-                };
+    // SAFETY: every block lies inside `0..lanes`.
+    unsafe { lane_blocks!(lanes, fold_block::<V>(cols, n_nodes, inputs, lanes, xn)) }
+}
+
+/// The fold for lanes `l0..l0 + B`: node blocks of [`NODE_BLOCK`], then
+/// the leftover nodes one at a time.
+///
+/// # Safety
+///
+/// `l0 + B <= lanes`, plus the shape contract of [`fold_cols_lanes`].
+#[inline(always)]
+unsafe fn fold_block<V: Vf64, const B: usize>(
+    l0: usize,
+    cols: &[f64],
+    n_nodes: usize,
+    inputs: &[f64],
+    lanes: usize,
+    xn: &mut [f64],
+) {
+    debug_assert!(l0 + B <= lanes);
+    let mut i0 = 0;
+    while i0 + NODE_BLOCK <= n_nodes {
+        // SAFETY: `i0 + NODE_BLOCK <= n_nodes`; forwarded lane bound.
+        unsafe { fold_nodes::<V, B, NODE_BLOCK>(l0, i0, cols, n_nodes, inputs, lanes, xn) };
+        i0 += NODE_BLOCK;
+    }
+    while i0 < n_nodes {
+        // SAFETY: `i0 < n_nodes`; forwarded lane bound.
+        unsafe { fold_nodes::<V, B, 1>(l0, i0, cols, n_nodes, inputs, lanes, xn) };
+        i0 += 1;
+    }
+}
+
+/// Register-blocked fold of nodes `i0..i0 + N` over lanes `l0..l0 + B`.
+/// Each (node, lane) accumulator starts at `+0.0` and takes
+/// `w.mul_add(c, acc)` for every input `j` in ascending order — the
+/// reference sequence — in `B / V::W` vectors plus `B % V::W` scalars
+/// held in registers across the whole `j` loop, then is stored once.
+///
+/// # Safety
+///
+/// `i0 + N <= n_nodes` and `l0 + B <= lanes`, plus the shape contract of
+/// [`fold_cols_lanes`].
+#[inline(always)]
+unsafe fn fold_nodes<V: Vf64, const B: usize, const N: usize>(
+    l0: usize,
+    i0: usize,
+    cols: &[f64],
+    n_nodes: usize,
+    inputs: &[f64],
+    lanes: usize,
+    xn: &mut [f64],
+) {
+    debug_assert!(i0 + N <= n_nodes && l0 + B <= lanes);
+    let nv = B / V::W;
+    let ns = nv * V::W;
+    let mut vacc = [[V::splat(0.0); MAX_BLOCK]; N];
+    let mut sacc = [[0.0f64; MAX_BLOCK]; N];
+    for (j, w) in inputs.chunks_exact(lanes).enumerate() {
+        let w = &w[l0..l0 + B];
+        let c = &cols[j * n_nodes + i0..j * n_nodes + i0 + N];
+        let mut wv = [V::splat(0.0); MAX_BLOCK];
+        for (q, x) in wv[..nv].iter_mut().enumerate() {
+            // SAFETY: `(q + 1) * V::W <= ns <= B = w.len()`.
+            *x = unsafe { V::load(w.as_ptr().add(q * V::W)) };
+        }
+        for ((va, sa), &cn) in vacc.iter_mut().zip(&mut sacc).zip(c) {
+            let cv = V::splat(cn);
+            for (a, &x) in va[..nv].iter_mut().zip(&wv[..nv]) {
+                *a = x.fmadd(cv, *a);
             }
-            for (a, &wv) in al.into_remainder().iter_mut().zip(wl.remainder()) {
-                *a = wv.mul_add(ci, *a);
+            for (a, &x) in sa[..B - ns].iter_mut().zip(&w[ns..]) {
+                *a = x.mul_add(cn, *a);
             }
         }
+    }
+    for (n, (va, sa)) in vacc.iter().zip(&sacc).enumerate() {
+        let at = (i0 + n) * lanes + l0;
+        let row = &mut xn[at..at + B];
+        for (q, a) in va[..nv].iter().enumerate() {
+            // SAFETY: `(q + 1) * V::W <= ns <= B = row.len()`.
+            unsafe { a.store(row.as_mut_ptr().add(q * V::W)) };
+        }
+        row[ns..].copy_from_slice(&sa[..B - ns]);
     }
 }
 
@@ -244,26 +349,41 @@ pub(crate) unsafe fn gather_hist<V: Vf64>(
         return;
     }
     // Batched gather: vectorize across the lane dimension per element.
+    // SAFETY: every block lies inside `0..lanes`.
+    unsafe { lane_blocks!(lanes, gather_block::<V>(g, v, i, lanes, out)) }
+}
+
+/// The batched gather for lanes `l0..l0 + B` of every element.
+///
+/// # Safety
+///
+/// `l0 + B <= lanes`, plus the shape contract of [`gather_hist`].
+#[inline(always)]
+unsafe fn gather_block<V: Vf64, const B: usize>(
+    l0: usize,
+    g: &[f64],
+    v: &[f64],
+    i: &[f64],
+    lanes: usize,
+    out: &mut [f64],
+) {
+    debug_assert!(l0 + B <= lanes);
+    let nv = B / V::W;
+    let ns = nv * V::W;
     for (k, &gk) in g.iter().enumerate() {
-        let row = k * lanes;
+        let row = k * lanes + l0..k * lanes + l0 + B;
+        let (vk, ik, ok) = (&v[row.clone()], &i[row.clone()], &mut out[row]);
         let gv = V::splat(gk);
-        let mut vc = v[row..row + lanes].chunks_exact(V::W);
-        let mut ic = i[row..row + lanes].chunks_exact(V::W);
-        let mut oc = out[row..row + lanes].chunks_exact_mut(V::W);
-        for ((vk, ik), ok) in vc.by_ref().zip(ic.by_ref()).zip(oc.by_ref()) {
-            // SAFETY: all chunks hold exactly V::W elements.
+        for q in 0..nv {
+            let at = q * V::W;
+            // SAFETY: `at + V::W <= ns <= B`, the length of all three rows.
             unsafe {
-                gv.fmadd(V::load(vk.as_ptr()), V::load(ik.as_ptr()))
-                    .store(ok.as_mut_ptr())
+                gv.fmadd(V::load(vk.as_ptr().add(at)), V::load(ik.as_ptr().add(at)))
+                    .store(ok.as_mut_ptr().add(at))
             };
         }
-        for ((&vk, &ik), ok) in vc
-            .remainder()
-            .iter()
-            .zip(ic.remainder())
-            .zip(oc.into_remainder())
-        {
-            *ok = gk.mul_add(vk, ik);
+        for l in ns..B {
+            ok[l] = gk.mul_add(vk[l], ik[l]);
         }
     }
 }
@@ -284,43 +404,59 @@ unsafe fn elem_updates<V: Vf64, const CAP: bool>(
     debug_assert_eq!(rows.len(), g.len());
     debug_assert_eq!(v.len(), g.len() * lanes);
     debug_assert_eq!(i.len(), v.len());
+    // SAFETY: every block lies inside `0..lanes`.
+    unsafe { lane_blocks!(lanes, elem_block::<V, CAP>(g, rows, state, lanes, v, i)) }
+}
+
+/// The companion update for lanes `l0..l0 + B` of every element.
+///
+/// # Safety
+///
+/// `l0 + B <= lanes`, plus the shape contract of [`elem_updates`].
+#[inline(always)]
+unsafe fn elem_block<V: Vf64, const B: usize, const CAP: bool>(
+    l0: usize,
+    g: &[f64],
+    rows: &[[u32; 2]],
+    state: &[f64],
+    lanes: usize,
+    v: &mut [f64],
+    i: &mut [f64],
+) {
+    debug_assert!(l0 + B <= lanes);
+    let nv = B / V::W;
+    let ns = nv * V::W;
     for (k, (&gk, row)) in g.iter().zip(rows).enumerate() {
-        let a = row[0] as usize * lanes;
-        let b = row[1] as usize * lanes;
-        let base = k * lanes;
+        let a = row[0] as usize * lanes + l0;
+        let b = row[1] as usize * lanes + l0;
+        let base = k * lanes + l0;
+        let (sa, sb) = (&state[a..a + B], &state[b..b + B]);
+        let (vk, ik) = (&mut v[base..base + B], &mut i[base..base + B]);
         let gv = V::splat(gk);
-        let sa = &state[a..a + lanes];
-        let sb = &state[b..b + lanes];
-        let mut l = 0;
-        while l + V::W <= lanes {
-            // SAFETY: `l + V::W <= lanes` keeps every pointer within its
-            // slice's row.
+        for q in 0..nv {
+            let at = q * V::W;
+            // SAFETY: `at + V::W <= ns <= B`, the length of all four rows.
             unsafe {
-                let vn = V::load(sa.as_ptr().add(l)).sub(V::load(sb.as_ptr().add(l)));
-                let hist = gv.fmadd(
-                    V::load(v.as_ptr().add(base + l)),
-                    V::load(i.as_ptr().add(base + l)),
-                );
+                let vn = V::load(sa.as_ptr().add(at)).sub(V::load(sb.as_ptr().add(at)));
+                let hist = gv.fmadd(V::load(vk.as_ptr().add(at)), V::load(ik.as_ptr().add(at)));
                 let next = if CAP {
                     gv.fmsub(vn, hist)
                 } else {
                     gv.fmadd(vn, hist)
                 };
-                next.store(i.as_mut_ptr().add(base + l));
-                vn.store(v.as_mut_ptr().add(base + l));
+                next.store(ik.as_mut_ptr().add(at));
+                vn.store(vk.as_mut_ptr().add(at));
             }
-            l += V::W;
         }
-        while l < lanes {
+        for l in ns..B {
             let vn = sa[l] - sb[l];
-            let hist = gk.mul_add(v[base + l], i[base + l]);
-            i[base + l] = if CAP {
+            let hist = gk.mul_add(vk[l], ik[l]);
+            ik[l] = if CAP {
                 gk.mul_add(vn, -hist)
             } else {
                 gk.mul_add(vn, hist)
             };
-            v[base + l] = vn;
-            l += 1;
+            vk[l] = vn;
         }
     }
 }

@@ -315,13 +315,18 @@ dispatch_ops! {
     /// `[n_nodes x lanes]`; per lane the operation sequence is exactly
     /// [`SimdLevel::fold_cols`]'s. Vectorized across the lane dimension,
     /// so each response-column entry is loaded once for all lanes.
+    /// `lanes` splits into 8-wide blocks plus one remainder block, each
+    /// a body of compile-time width; within a block, four nodes'
+    /// accumulators stay in registers across the whole `j` loop and are
+    /// stored once, so the fold writes `xn` exactly once per element.
     fn fold_cols_lanes(cols: &[f64], n_nodes: usize, inputs: &[f64], lanes: usize, xn: &mut [f64]);
 
     /// Trapezoidal history gather, `out[k*lanes + l] =
     /// g[k].mul_add(v[k*lanes + l], i[k*lanes + l])` — the per-step
     /// input for one reactive-element class. With `lanes == 1` this is
     /// the serial gather, vectorized across elements; with wider lanes
-    /// it vectorizes across the lane dimension per element.
+    /// it vectorizes across the lane dimension per element, in the same
+    /// compile-time-width lane blocks as [`SimdLevel::fold_cols_lanes`].
     fn gather_hist(g: &[f64], v: &[f64], i: &[f64], lanes: usize, out: &mut [f64]);
 
     /// Capacitor companion update over lane-major SoA state: per element
@@ -329,7 +334,8 @@ dispatch_ops! {
     /// state[b+l]`: `hist = g[k].mul_add(v, i); i = g[k].mul_add(vn,
     /// -hist); v = vn` — the fused form of the trapezoidal capacitor
     /// step. `state` is node-major `[rows x lanes]` (`lanes == 1` is a
-    /// serial scratch's `v`).
+    /// serial scratch's `v`). Vectorized across lanes in the same
+    /// compile-time-width lane blocks as [`SimdLevel::fold_cols_lanes`].
     fn cap_updates(
         g: &[f64],
         rows: &[[u32; 2]],
@@ -440,7 +446,7 @@ mod tests {
         let (n_nodes, n_inputs) = (7, 5);
         let cols = lcg(0xC0, n_inputs * n_nodes);
         for &lv in supported_levels() {
-            for lanes in [1usize, 3, 4, 8] {
+            for lanes in [1usize, 3, 4, 6, 8, 11, 17] {
                 let inputs = lcg(0xF0 + lanes as u64, n_inputs * lanes);
                 let mut want = vec![0.0; n_nodes * lanes];
                 let mut got = want.clone();
