@@ -1,17 +1,22 @@
-//! Golden digest of the lane-batched PDN transient.
+//! Golden digests of the batched and serial PDN transients.
 //!
 //! Pins `to_bits` of every lane's `v_die` and `i_die` from
 //! `Pdn::transient_batch` on the A72, A53 and Athlon II PDNs under
 //! `RunConfig::fast`, driven by seeded random sample-trace loads, at
 //! batch widths 1..=10 and 17 — every split of a batch into 8-wide lane
-//! groups plus a remainder. The transient uses only IEEE `+`, `-` and
-//! fused `mul_add`, so the digests are the same at every SIMD dispatch
-//! level (including `EMVOLT_SIMD=scalar`) and on every host. A change to
-//! the batched kernels' loop structure must leave them untouched; a
-//! deliberate change to the solver's arithmetic updates the constants
-//! below (the failure message prints the new value).
+//! groups plus a remainder — and likewise every serial
+//! `Pdn::transient_scoped` run of such loads through an `Auto`
+//! (state-space) and a `KernelChoice::Lu` plan, one scratch reused
+//! across all runs. The serial digests are the independent oracle for
+//! the serial path, which shares its step kernels with the lane groups.
+//! The transient uses only IEEE `+`, `-` and fused `mul_add`, so the
+//! digests are the same at every SIMD dispatch level (including
+//! `EMVOLT_SIMD=scalar`) and on every host. A change to the kernels'
+//! loop structure must leave them untouched; a deliberate change to the
+//! solver's arithmetic updates the constants below (the failure message
+//! prints the new value).
 
-use emvolt_circuit::{Stimulus, TransientConfig};
+use emvolt_circuit::{KernelChoice, Stimulus, TransientConfig, TransientScratch};
 use emvolt_pdn::{Pdn, PdnParams};
 use emvolt_platform::{a53_pdn, a72_pdn, amd_pdn, BatchTransientScratch, RunConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -87,24 +92,74 @@ fn pdn_digest(params: PdnParams, active_cores: usize, freq_hz: f64, amps: (f64, 
     digest.0
 }
 
+/// Loads per serial digest, per plan kernel.
+const SERIAL_RUNS: usize = 6;
+
+/// Digest of serial runs on one PDN: the same seeded loads through an
+/// `Auto` plan and then an LU plan, all through one reused scratch.
+fn serial_digest(params: PdnParams, active_cores: usize, freq_hz: f64, amps: (f64, f64)) -> u64 {
+    let cfg = RunConfig::fast();
+    let mut pdn = Pdn::new(params, active_cores);
+    let tcfg = TransientConfig::new(cfg.pdn_dt, cfg.pdn_warmup + cfg.pdn_window)
+        .with_warmup(cfg.pdn_warmup);
+    let mut scratch = TransientScratch::new();
+    let mut digest = Digest::new();
+    for kernel in [KernelChoice::Auto, KernelChoice::Lu] {
+        let plan = pdn
+            .plan_transient_kernel(cfg.pdn_dt, kernel)
+            .expect("plans");
+        assert_eq!(plan.uses_state_kernel(), kernel == KernelChoice::Auto);
+        let mut rng = StdRng::seed_from_u64(0xba7c_4d16 ^ freq_hz as u64);
+        for _ in 0..SERIAL_RUNS {
+            pdn.set_load(random_load(&mut rng, freq_hz, amps.0, amps.1));
+            let die = pdn
+                .transient_scoped(&plan, &tcfg, &mut scratch)
+                .expect("serial run");
+            digest.word(die.dt().to_bits());
+            digest.word(die.start_time().to_bits());
+            digest.samples(die.v_die());
+            digest.samples(die.i_die());
+        }
+    }
+    digest.0
+}
+
 fn check(name: &str, got: u64, golden: u64) {
-    assert_eq!(got, golden, "{name} batch digest {got:#018x}");
+    assert_eq!(got, golden, "{name} digest {got:#018x}");
 }
 
 #[test]
 fn a72_batch_digest_is_golden() {
     let got = pdn_digest(a72_pdn(), 2, 1.2e9, (0.2, 2.5));
-    check("A72", got, 0x01c7_924a_4f61_5701);
+    check("A72 batch", got, 0x01c7_924a_4f61_5701);
 }
 
 #[test]
 fn a53_batch_digest_is_golden() {
     let got = pdn_digest(a53_pdn(), 4, 950e6, (0.1, 1.2));
-    check("A53", got, 0xb23a_8878_1485_4cc5);
+    check("A53 batch", got, 0xb23a_8878_1485_4cc5);
 }
 
 #[test]
 fn athlon_batch_digest_is_golden() {
     let got = pdn_digest(amd_pdn(), 4, 3.1e9, (2.0, 30.0));
-    check("Athlon II", got, 0xc19b_6d1d_6459_45cb);
+    check("Athlon II batch", got, 0xc19b_6d1d_6459_45cb);
+}
+
+#[test]
+fn a72_serial_digest_is_golden() {
+    let got = serial_digest(a72_pdn(), 2, 1.2e9, (0.2, 2.5));
+    check("A72 serial", got, 0x8a21_b05c_a171_8c4c);
+}
+
+#[test]
+fn a53_serial_digest_is_golden() {
+    let got = serial_digest(a53_pdn(), 4, 950e6, (0.1, 1.2));
+    check("A53 serial", got, 0x4cd5_368f_5ec2_72f2);
+}
+
+#[test]
+fn athlon_serial_digest_is_golden() {
+    let got = serial_digest(amd_pdn(), 4, 3.1e9, (2.0, 30.0));
+    check("Athlon II serial", got, 0x189f_1c2e_bfea_c391);
 }
