@@ -82,7 +82,7 @@ impl KernelChoice {
 /// The precomputed response columns: node voltages per unit input, flat
 /// row-major `[n_inputs x n_nodes]`. Input order is capacitors,
 /// inductors, current sources, voltage sources — the same order
-/// [`StateKernel::fold`] consumers fill the input vector in, fixed so
+/// [`StateKernel::fold_lanes`] consumers fill the input vector in, fixed so
 /// the floating-point summation order (and therefore the result) is
 /// deterministic.
 #[derive(Debug, Clone)]
@@ -153,33 +153,20 @@ impl StateKernel {
         self.n_inputs
     }
 
-    /// Accumulates `xn = Σ_j inputs[j] · cols[j]` over the contiguous
-    /// response rows. `xn` must hold exactly `n_nodes` elements and
-    /// `inputs` exactly `n_inputs`.
-    ///
-    /// Runs on the runtime-dispatched SIMD level; every level performs
-    /// the identical fused (`mul_add`) per-element sequence, so results
-    /// are bit-identical across levels (see `emvolt-simd`).
-    #[inline]
-    pub(crate) fn fold(&self, inputs: &[f64], xn: &mut [f64]) {
-        debug_assert_eq!(inputs.len(), self.n_inputs);
-        debug_assert_eq!(xn.len(), self.n_nodes);
-        emvolt_simd::level().fold_cols(&self.cols, self.n_nodes, inputs, xn);
-    }
-
-    /// Lane-major batched fold: `lanes` independent input vectors folded
-    /// through the response columns in one pass.
+    /// Lane-major fold: `lanes` independent input vectors folded through
+    /// the response columns in one pass, `xn = Σ_j inputs[j] · cols[j]`
+    /// per lane. A serial run is the one-lane fold.
     ///
     /// `inputs` is input-major `[n_inputs x lanes]` (`inputs[j*lanes + l]`
     /// is lane `l`'s weight for column `j`) and `xn` node-major
     /// `[n_nodes x lanes]` (`xn[i*lanes + l]` is lane `l`'s voltage at
     /// node `i`). Each response column entry `c_ji` is loaded **once** and
     /// FMAed into every lane's accumulator — the memory traffic of one
-    /// serial fold amortized over all lanes. Per lane the operation
+    /// one-lane fold amortized over all lanes. Per lane the operation
     /// sequence (zero, then `x_i = w_j.mul_add(c_ji, x_i)` in `j` order)
-    /// is exactly [`StateKernel::fold`]'s, so each lane's result is
-    /// bit-identical to a serial fold of that lane alone — at every
-    /// dispatched SIMD level.
+    /// does not depend on `lanes`, so each lane's result is bit-identical
+    /// to a one-lane fold of that lane alone — at every dispatched SIMD
+    /// level (see `emvolt-simd`).
     #[inline]
     pub(crate) fn fold_lanes(&self, inputs: &[f64], lanes: usize, xn: &mut [f64]) {
         debug_assert!(lanes > 0);
@@ -218,7 +205,7 @@ mod tests {
             .collect()
     }
 
-    /// Every lane of `fold_lanes` must reproduce a serial `fold` of that
+    /// Every lane of `fold_lanes` must reproduce a one-lane fold of that
     /// lane bit-for-bit, for lane counts on both sides of the 8/4 block
     /// widths (exercising full blocks plus every remainder shape).
     #[test]
@@ -239,7 +226,7 @@ mod tests {
                 let lane_inputs: Vec<f64> =
                     (0..n_inputs).map(|j| all_inputs[j * lanes + l]).collect();
                 let mut serial = vec![0.0; n_nodes];
-                kernel.fold(&lane_inputs, &mut serial);
+                kernel.fold_lanes(&lane_inputs, 1, &mut serial);
                 for i in 0..n_nodes {
                     assert_eq!(
                         serial[i].to_bits(),

@@ -630,9 +630,11 @@ impl Circuit {
 
     /// The transient engine: integrates into `scratch`, reusing every
     /// buffer it holds. All public single-stimulus transient entry points
-    /// funnel here; the batched path shares the same setup and step
-    /// bodies via [`Circuit::transient_setup`] and
-    /// [`Circuit::state_space_step`].
+    /// funnel here. A state-space plan runs the one-lane group of the
+    /// batched step loop, [`Circuit::batch_group_steps`], whose state
+    /// rows at one lane are simply the scratch's own vectors; an LU plan
+    /// runs [`Circuit::lu_steps`]. The setup is shared with the batched
+    /// path via [`Circuit::transient_setup`].
     fn transient_into(
         &self,
         plan: &TransientPlan,
@@ -643,16 +645,36 @@ impl Circuit {
         let sched = self.transient_setup(plan, config, probes, scratch, None)?;
         match &plan.state {
             Some(kernel) => {
-                for step in 1..=sched.n_steps {
-                    self.state_space_step(
-                        plan,
-                        kernel,
-                        step,
-                        sched.record_start_idx,
-                        None,
-                        scratch,
-                    );
-                }
+                let TransientScratch {
+                    v,
+                    cap_v,
+                    cap_i,
+                    ind_v,
+                    ind_i,
+                    inputs,
+                    cap_rows,
+                    ind_rows,
+                    node_slots,
+                    ind_slots,
+                    node_bufs,
+                    ind_bufs,
+                    len,
+                    ..
+                } = scratch;
+                let mut rows = LaneRows {
+                    inputs,
+                    state: v,
+                    cap_v,
+                    cap_i,
+                    ind_v,
+                    ind_i,
+                    cap_rows,
+                    ind_rows,
+                };
+                self.batch_group_steps::<1>(plan, kernel, &sched, None, &mut rows, |v, ind_i| {
+                    record_into(v, ind_i, node_slots, ind_slots, node_bufs, ind_bufs);
+                    *len += 1;
+                });
             }
             None => self.lu_steps(plan, &sched, scratch),
         }
@@ -746,14 +768,14 @@ impl Circuit {
         // most eight lanes. Within a group every per-step stage — the
         // input gather (capacitor/inductor histories), the response-
         // column fold, and the element-state update — operates on
-        // lane-contiguous rows of compile-time width, so the stages the
-        // serial path can only execute as scalar gathers (element node
+        // lane-contiguous rows of compile-time width, so the stages a
+        // one-lane run can only execute as scalar gathers (element node
         // indices are arbitrary) become straight-line vector code across
         // lanes. Lane-invariant stimuli (every source except the swept
         // load) are sampled once per step and broadcast. Per lane the
-        // arithmetic sequence is exactly the single-run state-space
-        // sequence, so every lane stays bit-identical to
-        // `transient_scoped` with that load.
+        // arithmetic sequence does not depend on the group width, so
+        // every lane stays bit-identical to `transient_scoped` with that
+        // load.
         let BatchTransientScratch {
             lanes,
             lane_inputs,
@@ -766,95 +788,70 @@ impl Circuit {
             ind_rows,
             ..
         } = batch;
-        let mut soa = BatchSoa {
-            inputs: lane_inputs,
-            state: lane_state,
-            cap_v,
-            cap_i,
-            ind_v,
-            ind_i,
-            cap_rows,
-            ind_rows,
-        };
+        cap_rows.clear();
+        cap_rows.extend(self.capacitors.iter().map(|c| [c.a as u32, c.b as u32]));
+        ind_rows.clear();
+        ind_rows.extend(self.inductors.iter().map(|l| [l.a as u32, l.b as u32]));
         let mut start = 0;
         while start < n_lanes {
             let width = (n_lanes - start).min(8);
-            let group_loads = &loads[start..start + width];
+            let group = Some((source.index(), &loads[start..start + width]));
             let group_lanes = &mut lanes[start..start + width];
-            let src = source.index();
+            resize_zeroed(lane_inputs, kernel.n_inputs() * width);
+            resize_zeroed(lane_state, self.node_count() * width);
+            resize_zeroed(cap_v, self.capacitors.len() * width);
+            resize_zeroed(cap_i, self.capacitors.len() * width);
+            resize_zeroed(ind_v, self.inductors.len() * width);
+            resize_zeroed(ind_i, self.inductors.len() * width);
+            // Pack the setup-seeded lane state into the SoA rows. The
+            // ground row comes from `v[0]`, which is zero by construction.
+            for (l, lane) in group_lanes.iter().enumerate() {
+                pack_lane(lane_state, width, l, &lane.v);
+                pack_lane(cap_v, width, l, &lane.cap_v);
+                pack_lane(cap_i, width, l, &lane.cap_i);
+                pack_lane(ind_v, width, l, &lane.ind_v);
+                pack_lane(ind_i, width, l, &lane.ind_i);
+            }
+            let mut rows = LaneRows {
+                inputs: lane_inputs,
+                state: lane_state,
+                cap_v,
+                cap_i,
+                ind_v,
+                ind_i,
+                cap_rows,
+                ind_rows,
+            };
+            // Same per-lane push order as `record_into`, reading the lane
+            // columns of the SoA rows.
+            let record = |state: &[f64], ind_i: &[f64]| {
+                for (l, lane) in group_lanes.iter_mut().enumerate() {
+                    for (buf, &idx) in lane.node_bufs.iter_mut().zip(&lane.node_slots) {
+                        buf.push(state[idx * width + l]);
+                    }
+                    for (buf, &idx) in lane.ind_bufs.iter_mut().zip(&lane.ind_slots) {
+                        buf.push(ind_i[idx * width + l]);
+                    }
+                    lane.len += 1;
+                }
+            };
             match width {
-                8 => self.batch_group_steps::<8>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                7 => self.batch_group_steps::<7>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                6 => self.batch_group_steps::<6>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                5 => self.batch_group_steps::<5>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                4 => self.batch_group_steps::<4>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                3 => self.batch_group_steps::<3>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                2 => self.batch_group_steps::<2>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
-                _ => self.batch_group_steps::<1>(
-                    plan,
-                    kernel,
-                    &sched,
-                    src,
-                    group_loads,
-                    group_lanes,
-                    &mut soa,
-                ),
+                8 => self.batch_group_steps::<8>(plan, kernel, &sched, group, &mut rows, record),
+                7 => self.batch_group_steps::<7>(plan, kernel, &sched, group, &mut rows, record),
+                6 => self.batch_group_steps::<6>(plan, kernel, &sched, group, &mut rows, record),
+                5 => self.batch_group_steps::<5>(plan, kernel, &sched, group, &mut rows, record),
+                4 => self.batch_group_steps::<4>(plan, kernel, &sched, group, &mut rows, record),
+                3 => self.batch_group_steps::<3>(plan, kernel, &sched, group, &mut rows, record),
+                2 => self.batch_group_steps::<2>(plan, kernel, &sched, group, &mut rows, record),
+                _ => self.batch_group_steps::<1>(plan, kernel, &sched, group, &mut rows, record),
+            }
+            // Unpack so each lane's scratch ends exactly as a serial run's.
+            for (l, lane) in group_lanes.iter_mut().enumerate() {
+                unpack_lane(lane_state, width, l, &mut lane.v);
+                unpack_lane(cap_v, width, l, &mut lane.cap_v);
+                unpack_lane(cap_i, width, l, &mut lane.cap_i);
+                unpack_lane(ind_v, width, l, &mut lane.ind_v);
+                unpack_lane(ind_i, width, l, &mut lane.ind_i);
             }
             start += width;
         }
@@ -1120,222 +1117,85 @@ impl Circuit {
         }
     }
 
-    /// One state-space step for one lane: gather the input scalars in the
-    /// kernel's fixed order (capacitor histories, inductor histories,
-    /// current sources, voltage sources), fold them through the
-    /// precomputed response columns, then run the same element-state
-    /// update and recording as the LU path. Used by both the single-run
-    /// and batched paths, so a batch lane and a single run execute the
-    /// identical arithmetic sequence.
-    fn state_space_step(
-        &self,
-        plan: &TransientPlan,
-        kernel: &StateKernel,
-        step: usize,
-        record_start_idx: usize,
-        load_override: Option<(usize, &Stimulus)>,
-        scratch: &mut TransientScratch,
-    ) {
-        let h = plan.dt;
-        let t_next = step as f64 * h;
-        let n_nodes = plan.n_nodes;
-        let cap_g = &plan.cap_g;
-        let ind_g = &plan.ind_g;
-        let TransientScratch {
-            x,
-            v,
-            cap_v,
-            cap_i,
-            ind_i,
-            ind_v,
-            inputs,
-            cap_rows,
-            ind_rows,
-            node_slots,
-            ind_slots,
-            node_bufs,
-            ind_bufs,
-            len,
-            ..
-        } = scratch;
-
-        // History gathers on the dispatched SIMD level (`lanes == 1`
-        // vectorizes across the element dimension); fused `mul_add`
-        // arithmetic at every level, bit-identical across levels.
-        let lv = emvolt_simd::level();
-        let nc = cap_g.len();
-        let nl = ind_g.len();
-        lv.gather_hist(cap_g, cap_v, cap_i, 1, &mut inputs[..nc]);
-        lv.gather_hist(ind_g, ind_v, ind_i, 1, &mut inputs[nc..nc + nl]);
-        let mut j = nc + nl;
-        for (si, is) in self.isources.iter().enumerate() {
-            let stim = match load_override {
-                Some((idx, s)) if idx == si => s,
-                _ => &is.stimulus,
-            };
-            inputs[j] = stim.value_at(t_next);
-            j += 1;
-        }
-        for vs in &self.vsources {
-            inputs[j] = vs.stimulus.value_at(t_next);
-            j += 1;
-        }
-        debug_assert_eq!(j, inputs.len());
-
-        kernel.fold(inputs, &mut x[..n_nodes]);
-        v[1..=n_nodes].copy_from_slice(&x[..n_nodes]);
-
-        // Companion updates on the dispatched level — the fused form of
-        // the LU path's trapezoidal update (`v` row 0 is ground, zero).
-        lv.cap_updates(cap_g, cap_rows, v, 1, cap_v, cap_i);
-        lv.ind_updates(ind_g, ind_rows, v, 1, ind_v, ind_i);
-
-        if step >= record_start_idx {
-            record_into(v, ind_i, node_slots, ind_slots, node_bufs, ind_bufs);
-            *len += 1;
-        }
-    }
-
-    /// The batched step loop for one lane group of compile-time width
-    /// `L`. Element state lives in lane-contiguous SoA rows
+    /// The state-space step loop for one lane group of compile-time
+    /// width `L`. Element state lives in lane-contiguous SoA rows
     /// (`buf[k*L + l]` is lane `l`'s value for element `k`), so the
     /// history gather and the post-fold element update become vector
-    /// loops over the lane dimension — the serial path can only do them
-    /// as scalar chains, because element node indices are arbitrary
-    /// gathers there. Node voltages live in the node-major
-    /// `[node_count x L]` state (row 0 = ground, always zero) that
-    /// [`StateKernel::fold_lanes`] writes, and recording reads the lane
-    /// columns straight out of those rows in [`record_into`]'s order.
-    /// Lane state is packed from / unpacked to each lane's
-    /// [`TransientScratch`] around the loop, so a finished lane's
-    /// scratch is indistinguishable from a serial run's.
-    #[allow(clippy::too_many_arguments)]
+    /// loops over the lane dimension. Node voltages live in the
+    /// node-major `[node_count x L]` state (row 0 = ground, always zero)
+    /// that [`StateKernel::fold_lanes`] writes. Each step gathers the
+    /// kernel inputs in its fixed order (capacitor histories, inductor
+    /// histories, current sources, voltage sources), folds them through
+    /// the response columns, runs the trapezoidal companion updates and,
+    /// once recording has started, hands the state and inductor-current
+    /// rows to `record`.
+    ///
+    /// `loads` overrides one current source with a stimulus per lane;
+    /// without it every lane reads the circuit's own stimuli. A serial
+    /// run is the one-lane group over its scratch's own vectors; at
+    /// `L = 1` the fold and the gather vectorize across nodes and
+    /// elements instead of lanes. Per lane the arithmetic sequence is
+    /// the same at every `L`.
     fn batch_group_steps<const L: usize>(
         &self,
         plan: &TransientPlan,
         kernel: &StateKernel,
         sched: &StepSchedule,
-        source_idx: usize,
-        loads: &[Stimulus],
-        lanes: &mut [TransientScratch],
-        soa: &mut BatchSoa<'_>,
+        loads: Option<(usize, &[Stimulus])>,
+        rows: &mut LaneRows<'_>,
+        mut record: impl FnMut(&[f64], &[f64]),
     ) {
-        debug_assert_eq!(loads.len(), L);
-        debug_assert_eq!(lanes.len(), L);
+        debug_assert!(loads.is_none_or(|(_, loads)| loads.len() == L));
+        debug_assert_eq!(rows.state.len(), (plan.n_nodes + 1) * L);
         let h = plan.dt;
-        let n_rows = self.node_count();
-        debug_assert_eq!(n_rows, plan.n_nodes + 1);
         let cap_g = &plan.cap_g;
         let ind_g = &plan.ind_g;
-        let n_inputs = kernel.n_inputs();
-
-        resize_zeroed(soa.inputs, n_inputs * L);
-        resize_zeroed(soa.state, n_rows * L);
-        resize_zeroed(soa.cap_v, self.capacitors.len() * L);
-        resize_zeroed(soa.cap_i, self.capacitors.len() * L);
-        resize_zeroed(soa.ind_v, self.inductors.len() * L);
-        resize_zeroed(soa.ind_i, self.inductors.len() * L);
-        soa.cap_rows.clear();
-        soa.cap_rows
-            .extend(self.capacitors.iter().map(|c| [c.a as u32, c.b as u32]));
-        soa.ind_rows.clear();
-        soa.ind_rows
-            .extend(self.inductors.iter().map(|l| [l.a as u32, l.b as u32]));
+        let nc = cap_g.len();
+        let nl = ind_g.len();
         let lv = emvolt_simd::level();
-
-        // Pack the setup-seeded lane state into the SoA rows. The ground
-        // row comes from `v[0]`, which is zero by construction.
-        for (l, lane) in lanes.iter().enumerate() {
-            for (i, &vi) in lane.v.iter().enumerate() {
-                soa.state[i * L + l] = vi;
-            }
-            for (k, &x) in lane.cap_v.iter().enumerate() {
-                soa.cap_v[k * L + l] = x;
-            }
-            for (k, &x) in lane.cap_i.iter().enumerate() {
-                soa.cap_i[k * L + l] = x;
-            }
-            for (k, &x) in lane.ind_v.iter().enumerate() {
-                soa.ind_v[k * L + l] = x;
-            }
-            for (k, &x) in lane.ind_i.iter().enumerate() {
-                soa.ind_i[k * L + l] = x;
-            }
-        }
 
         for step in 1..=sched.n_steps {
             let t_next = step as f64 * h;
 
             // Input gather: one lane row per kernel input, in the
-            // kernel's fixed order (same as `state_space_step`), on the
-            // dispatched SIMD level vectorized across the lane rows.
-            let nc = cap_g.len();
-            let nl = ind_g.len();
-            lv.gather_hist(cap_g, soa.cap_v, soa.cap_i, L, &mut soa.inputs[..nc * L]);
+            // kernel's fixed order, on the dispatched SIMD level.
+            lv.gather_hist(cap_g, rows.cap_v, rows.cap_i, L, &mut rows.inputs[..nc * L]);
             lv.gather_hist(
                 ind_g,
-                soa.ind_v,
-                soa.ind_i,
+                rows.ind_v,
+                rows.ind_i,
                 L,
-                &mut soa.inputs[nc * L..(nc + nl) * L],
+                &mut rows.inputs[nc * L..(nc + nl) * L],
             );
             let mut j = nc + nl;
             for (si, is) in self.isources.iter().enumerate() {
-                let out = &mut soa.inputs[j * L..j * L + L];
-                if si == source_idx {
-                    for (o, load) in out.iter_mut().zip(loads) {
-                        *o = load.value_at(t_next);
+                let out = &mut rows.inputs[j * L..j * L + L];
+                match loads {
+                    Some((src, loads)) if src == si => {
+                        for (o, load) in out.iter_mut().zip(loads) {
+                            *o = load.value_at(t_next);
+                        }
                     }
-                } else {
                     // Lane-invariant source: sample once, broadcast.
-                    out.fill(is.stimulus.value_at(t_next));
+                    _ => out.fill(is.stimulus.value_at(t_next)),
                 }
                 j += 1;
             }
             for vs in &self.vsources {
-                soa.inputs[j * L..j * L + L].fill(vs.stimulus.value_at(t_next));
+                rows.inputs[j * L..j * L + L].fill(vs.stimulus.value_at(t_next));
                 j += 1;
             }
-            debug_assert_eq!(j, n_inputs);
+            debug_assert_eq!(j * L, rows.inputs.len());
 
-            kernel.fold_lanes(soa.inputs, L, &mut soa.state[L..]);
+            kernel.fold_lanes(rows.inputs, L, &mut rows.state[L..]);
 
-            // Element-state update: per lane the same arithmetic as the
-            // serial kernel path, vectorized across the lane rows.
-            lv.cap_updates(cap_g, soa.cap_rows, soa.state, L, soa.cap_v, soa.cap_i);
-            lv.ind_updates(ind_g, soa.ind_rows, soa.state, L, soa.ind_v, soa.ind_i);
+            // Companion updates on the dispatched level — the fused form
+            // of the LU path's trapezoidal update.
+            lv.cap_updates(cap_g, rows.cap_rows, rows.state, L, rows.cap_v, rows.cap_i);
+            lv.ind_updates(ind_g, rows.ind_rows, rows.state, L, rows.ind_v, rows.ind_i);
 
             if step >= sched.record_start_idx {
-                // Same per-lane push order as `record_into`, reading the
-                // lane columns of the SoA state.
-                for (l, lane) in lanes.iter_mut().enumerate() {
-                    for (buf, &idx) in lane.node_bufs.iter_mut().zip(&lane.node_slots) {
-                        buf.push(soa.state[idx * L + l]);
-                    }
-                    for (buf, &idx) in lane.ind_bufs.iter_mut().zip(&lane.ind_slots) {
-                        buf.push(soa.ind_i[idx * L + l]);
-                    }
-                    lane.len += 1;
-                }
-            }
-        }
-
-        // Unpack so each lane's scratch ends exactly as a serial run's.
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            for (i, vi) in lane.v.iter_mut().enumerate() {
-                *vi = soa.state[i * L + l];
-            }
-            for (k, x) in lane.cap_v.iter_mut().enumerate() {
-                *x = soa.cap_v[k * L + l];
-            }
-            for (k, x) in lane.cap_i.iter_mut().enumerate() {
-                *x = soa.cap_i[k * L + l];
-            }
-            for (k, x) in lane.ind_v.iter_mut().enumerate() {
-                *x = soa.ind_v[k * L + l];
-            }
-            for (k, x) in lane.ind_i.iter_mut().enumerate() {
-                *x = soa.ind_i[k * L + l];
+                record(rows.state, rows.ind_i);
             }
         }
     }
@@ -1398,7 +1258,7 @@ pub struct BatchTransientScratch {
     ind_v: Vec<f64>,
     ind_i: Vec<f64>,
     /// `[node_a, node_b]` row pairs per element for the dispatched
-    /// companion-update kernels; rebuilt per batch group.
+    /// companion-update kernels; rebuilt per batch.
     cap_rows: Vec<[u32; 2]>,
     ind_rows: Vec<[u32; 2]>,
     telemetry: Telemetry,
@@ -1455,19 +1315,37 @@ fn emit_probe_waves_with(
     }
 }
 
-/// Borrow-split view over the SoA buffers of a
-/// [`BatchTransientScratch`], so the group driver can hand them to the
-/// monomorphized step body while the per-lane scratches stay
-/// independently borrowed.
-struct BatchSoa<'a> {
-    inputs: &'a mut Vec<f64>,
-    state: &'a mut Vec<f64>,
-    cap_v: &'a mut Vec<f64>,
-    cap_i: &'a mut Vec<f64>,
-    ind_v: &'a mut Vec<f64>,
-    ind_i: &'a mut Vec<f64>,
-    cap_rows: &'a mut Vec<[u32; 2]>,
-    ind_rows: &'a mut Vec<[u32; 2]>,
+/// The state rows one lane group steps through, `[n x L]` lane-major
+/// each: the kernel inputs, the node-major solved state (row 0 ground),
+/// the element state, and the `[node_a, node_b]` row pairs the
+/// companion updates index the state with. A batch borrows them from
+/// its [`BatchTransientScratch`]; a serial run (`L = 1`) borrows its
+/// [`TransientScratch`]'s own vectors.
+struct LaneRows<'a> {
+    inputs: &'a mut [f64],
+    state: &'a mut [f64],
+    cap_v: &'a mut [f64],
+    cap_i: &'a mut [f64],
+    ind_v: &'a mut [f64],
+    ind_i: &'a mut [f64],
+    cap_rows: &'a [[u32; 2]],
+    ind_rows: &'a [[u32; 2]],
+}
+
+/// Writes one lane's per-element values into column `l` of the
+/// `[n x width]` SoA rows.
+fn pack_lane(rows: &mut [f64], width: usize, l: usize, lane: &[f64]) {
+    for (k, &x) in lane.iter().enumerate() {
+        rows[k * width + l] = x;
+    }
+}
+
+/// Reads column `l` of the `[n x width]` SoA rows back into one lane's
+/// per-element values.
+fn unpack_lane(rows: &[f64], width: usize, l: usize, lane: &mut [f64]) {
+    for (k, x) in lane.iter_mut().enumerate() {
+        *x = rows[k * width + l];
+    }
 }
 
 impl BatchTransientScratch {

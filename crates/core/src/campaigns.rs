@@ -45,6 +45,24 @@ fn ck(e: impl std::fmt::Display) -> DomainError {
     DomainError::Checkpoint(e.to_string())
 }
 
+/// The simulated campaign clock recorded in a snapshot's `clock_s`.
+///
+/// # Errors
+///
+/// [`DomainError::Checkpoint`] when the field is missing or malformed,
+/// or holds a negative or non-finite time.
+fn restore_clock(state: &Value) -> Result<SimClock, DomainError> {
+    let seconds = snap::unhex(snap::field(state, "clock_s").map_err(ck)?).map_err(ck)?;
+    if !(seconds.is_finite() && seconds >= 0.0) {
+        return Err(ck(format!(
+            "simulated clock {seconds} s is not a finite non-negative time"
+        )));
+    }
+    let mut clock = SimClock::new();
+    clock.advance(seconds);
+    Ok(clock)
+}
+
 /// Serializes a kernel through its stable interchange form.
 fn kernel_value(kernel: &Kernel) -> Value {
     KernelSpec::from_kernel(kernel).to_value()
@@ -652,9 +670,7 @@ impl<F: FnMut(&GenerationProgress)> Campaign for VirusCampaign<F> {
             return Err(ck("completed GA state is missing its best individual"));
         }
 
-        self.clock = SimClock::new();
-        self.clock
-            .advance(snap::unhex(snap::field(state, "clock_s").map_err(ck)?).map_err(ck)?);
+        self.clock = restore_clock(state)?;
 
         // Rebuild the memo by re-deriving each champion's identity: the
         // snapshot never trusts hash values across binaries.
@@ -933,9 +949,14 @@ impl Campaign for SweepCampaign {
                 self.points.len()
             )));
         }
-        self.clock = SimClock::new();
-        self.clock
-            .advance(snap::unhex(snap::field(state, "clock_s").map_err(ck)?).map_err(ck)?);
+        if self.next_point > self.config.cpu_freqs_hz.len() {
+            return Err(ck(format!(
+                "sweep cursor {} is past the {} configured points",
+                self.next_point,
+                self.config.cpu_freqs_hz.len()
+            )));
+        }
+        self.clock = restore_clock(state)?;
         Ok(())
     }
 }
@@ -963,5 +984,80 @@ pub fn fast_resonance_sweep_resumable<B: MeasurementBackend + ?Sized>(
     match drive(backend, &mut campaign, opts)? {
         DriveOutcome::Complete => campaign.into_result(backend).map(Some),
         DriveOutcome::Interrupted => Ok(None),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `state` with field `key` replaced by `value`.
+    fn with_field(state: &Value, key: &str, value: Value) -> Value {
+        let Value::Obj(fields) = state else {
+            panic!("snapshot is not an object");
+        };
+        Value::Obj(
+            fields
+                .iter()
+                .map(|(k, v)| {
+                    let v = if k == key { value.clone() } else { v.clone() };
+                    (k.clone(), v)
+                })
+                .collect(),
+        )
+    }
+
+    fn assert_checkpoint_error(result: Result<(), DomainError>, what: &str) {
+        match result {
+            Err(DomainError::Checkpoint(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a checkpoint error naming `{what}`, got {other:?}"),
+        }
+    }
+
+    const BAD_CLOCKS: [f64; 4] = [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn virus_restore_rejects_a_corrupt_clock() {
+        let config = VirusGenConfig::default();
+        let fresh = |_: &GenerationProgress| {};
+        let state =
+            VirusCampaign::new("v", "a72", emvolt_isa::Isa::ArmV8, &config, 1, fresh).snapshot();
+        let mut campaign =
+            VirusCampaign::new("v", "a72", emvolt_isa::Isa::ArmV8, &config, 1, fresh);
+        campaign
+            .restore(&with_field(&state, "clock_s", snap::hex(12.5)))
+            .expect("a finite clock restores");
+        assert_eq!(campaign.clock.seconds(), 12.5);
+        for bad in BAD_CLOCKS {
+            let corrupt = with_field(&state, "clock_s", snap::hex(bad));
+            assert_checkpoint_error(campaign.restore(&corrupt), "simulated clock");
+        }
+    }
+
+    #[test]
+    fn sweep_restore_rejects_a_corrupt_clock_and_an_overlong_cursor() {
+        let config = FastSweepConfig::for_max_frequency(1.2e9);
+        let new = || SweepCampaign::new("a72", emvolt_isa::Isa::ArmV8, 1.2e9, &config);
+        let state = new().snapshot();
+        let mut campaign = new();
+        campaign
+            .restore(&with_field(&state, "clock_s", snap::hex(3.0)))
+            .expect("a finite clock restores");
+        assert_eq!(campaign.clock.seconds(), 3.0);
+        for bad in BAD_CLOCKS {
+            let corrupt = with_field(&state, "clock_s", snap::hex(bad));
+            assert_checkpoint_error(campaign.restore(&corrupt), "simulated clock");
+        }
+
+        // A cursor past the configured points, with as many recorded
+        // points so the cursor/points check alone does not catch it.
+        let n = config.cpu_freqs_hz.len() + 1;
+        let point = Value::Arr(vec![snap::hex(1e9), snap::hex(60e6), snap::hex(-50.0)]);
+        let overlong = with_field(
+            &with_field(&state, "next_point", Value::Num(n as f64)),
+            "points",
+            Value::Arr(vec![point; n]),
+        );
+        assert_checkpoint_error(campaign.restore(&overlong), "past the");
     }
 }

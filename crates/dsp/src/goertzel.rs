@@ -20,7 +20,6 @@
 
 use crate::spectrum::Spectrum;
 use crate::window::Window;
-use emvolt_circuit::Trace;
 use emvolt_obs::{CounterId, Layer, Telemetry};
 
 /// Read-only view of a one-sided amplitude spectrum, implemented by both
@@ -230,7 +229,8 @@ impl GoertzelScratch {
 
 /// Evaluates the amplitude bins covering `[lo_hz, hi_hz]` of the signal's
 /// one-sided spectrum, windowed and scaled identically to
-/// [`Spectrum::of_samples_into`].
+/// [`Spectrum::of_samples_into`] — the one-lane case of
+/// [`of_samples_band_multi_into`].
 ///
 /// The covered bin range is widened outward — `floor(lo/step)` through
 /// `ceil(hi/step)`, clamped to the spectrum — so every bin whose
@@ -250,114 +250,36 @@ pub fn of_samples_band_into(
     scratch: &mut GoertzelScratch,
     out: &mut BandSpectrum,
 ) {
-    assert!(sample_rate > 0.0, "sample rate must be positive");
-    let n = samples.len();
-    out.bins.clear();
-    out.first_bin = 0;
-    if n == 0 {
-        out.freq_step = sample_rate;
-        out.total_bins = 0;
-        return;
-    }
-    let total_bins = n / 2 + 1;
-    let freq_step = sample_rate / n as f64;
-    out.freq_step = freq_step;
-    out.total_bins = total_bins;
-
-    let k0 = if lo_hz <= 0.0 {
-        0
-    } else {
-        ((lo_hz / freq_step).floor() as usize).min(total_bins)
-    };
-    let k1 = if hi_hz < lo_hz || hi_hz < 0.0 {
-        0
-    } else {
-        (((hi_hz / freq_step).ceil() as usize) + 1).min(total_bins)
-    };
-    out.first_bin = k0;
-    if k1 <= k0 {
-        return;
-    }
-    let nb = k1 - k0;
-
-    // The window coefficients are computed once into `wcoef`, the
-    // windowed product runs through the dispatched SIMD multiply, and the
-    // coherent gain sums the same coefficients in the same order as
-    // `Window::coherent_gain` — every value is identical to the historic
-    // in-place `Window::apply` path.
-    let GoertzelScratch {
-        windowed,
-        coeff,
-        s1,
-        s2,
-        wcoef,
-        ..
-    } = scratch;
-    let lv = emvolt_simd::level();
-    wcoef.clear();
-    wcoef.extend((0..n).map(|i| window.value(i, n)));
-    let gain = (wcoef.iter().sum::<f64>() / n as f64).max(1e-12);
-    let scale = 1.0 / (n as f64 * gain);
-    windowed.clear();
-    windowed.resize(n, 0.0);
-    lv.mul(samples, wcoef, windowed);
-
-    coeff.clear();
-    coeff.extend((k0..k1).map(|k| {
-        let w = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
-        2.0 * w.cos()
-    }));
-    s1.clear();
-    s1.resize(nb, 0.0);
-    s2.clear();
-    s2.resize(nb, 0.0);
-
-    // Sample-outer / bin-inner recurrence on the dispatched SIMD level:
-    // the inner loop has no cross-iteration dependency, so it vectorizes
-    // across bins, and four samples advance per inner pass so the state
-    // arrays are loaded and stored once per quad. The per-bin sequence is
-    // the fused `c.mul_add(s1, x − s2)` step at every level, so results
-    // are bit-identical across dispatch levels (see `emvolt-simd`).
-    lv.goertzel(windowed, coeff, s1, s2);
-
-    out.bins.extend((0..nb).map(|j| {
-        let power = s1[j] * s1[j] + s2[j] * s2[j] - coeff[j] * s1[j] * s2[j];
-        let mag = power.max(0.0).sqrt() * scale;
-        let k = k0 + j;
-        // One-sided doubling, same rule as the full-FFT path.
-        if k == 0 || (n.is_multiple_of(2) && k == n / 2) {
-            mag
-        } else {
-            2.0 * mag
-        }
-    }));
-
-    scratch.telemetry.count(CounterId::GoertzelInvocations, 1);
-    scratch.telemetry.span(
-        "goertzel",
-        Layer::Dsp,
-        &[("n", n as f64), ("bins", nb as f64)],
+    of_samples_band_multi_into(
+        &[samples],
+        sample_rate,
+        window,
+        lo_hz,
+        hi_hz,
+        scratch,
+        std::slice::from_mut(out),
     );
 }
 
 /// Multi-lane band evaluation: `lanes` independent signals of equal
-/// length evaluated over one shared bin grid in a single pass.
+/// length evaluated over one shared bin grid in a single pass, each
+/// windowed, scaled and bin-selected as [`of_samples_band_into`]
+/// documents.
 ///
 /// Everything that depends only on the record length and band is
 /// computed once and shared across every lane: the per-sample window
 /// coefficients, the coherent gain, and the per-bin recurrence
-/// coefficients `2·cos(2πk/n)` — the serial path redoes all three
-/// (including `2n` trig evaluations of window shape) per call. Each
-/// lane then runs the serial path's own bin-vectorized quad recurrence
-/// against the shared state, so per lane the arithmetic sequence
-/// (windowing, per-bin recurrence in sample order, magnitude
-/// extraction) is exactly [`of_samples_band_into`]'s and `outs[l]` is
-/// bit-identical to a serial evaluation of `lanes[l]` alone. One
-/// [`CounterId::GoertzelInvocations`] tick is charged per lane, matching
-/// the serial cost model.
+/// coefficients `2·cos(2πk/n)`. Each lane then runs the bin-vectorized
+/// quad recurrence against the shared state, so per lane the arithmetic
+/// sequence (windowing, per-bin recurrence in sample order, magnitude
+/// extraction) does not depend on the lane count and `outs[l]` is
+/// bit-identical to a one-lane evaluation of `lanes[l]` alone. One
+/// [`CounterId::GoertzelInvocations`] tick is charged per lane, and the
+/// `goertzel` span carries a `lanes` field only when there is more than
+/// one, so a one-lane call reports exactly like a serial evaluation.
 ///
 /// Lanes of differing lengths have different bin grids and are evaluated
-/// serially (still bit-identical per lane).
+/// one lane at a time (still bit-identical per lane).
 ///
 /// # Panics
 ///
@@ -379,7 +301,7 @@ pub fn of_samples_band_multi_into(
         return;
     }
     let n = lanes[0].len();
-    if n_lanes == 1 || lanes.iter().any(|s| s.len() != n) {
+    if lanes.iter().any(|s| s.len() != n) {
         for (samples, out) in lanes.iter().zip(outs.iter_mut()) {
             of_samples_band_into(samples, sample_rate, window, lo_hz, hi_hz, scratch, out);
         }
@@ -421,11 +343,11 @@ pub fn of_samples_band_multi_into(
     let nb = k1 - k0;
 
     // The per-sample window coefficients and the coherent gain depend
-    // only on the record length, so one lane-shared computation replaces
-    // the per-call trig the serial path pays for both. The windowed
-    // product `samples[i] * w[i]` multiplies exactly the values the
-    // serial in-place apply multiplies, and the gain sums the same
-    // coefficients in the same order, so every lane stays bit-identical.
+    // only on the record length, so they are computed once for all
+    // lanes. The windowed product `samples[i] * w[i]` multiplies exactly
+    // the values `Window::apply` multiplies, and the gain sums the same
+    // coefficients in the same order as `Window::coherent_gain`, so every
+    // value is identical to the full-FFT path's windowing.
     let GoertzelScratch {
         windowed,
         coeff,
@@ -441,7 +363,7 @@ pub fn of_samples_band_multi_into(
     let scale = 1.0 / (n as f64 * gain);
 
     // Windowed copies, lane-major `[L][n]`, through the dispatched SIMD
-    // multiply (same products as the serial path's windowing pass).
+    // multiply.
     windowed.clear();
     windowed.resize(n_lanes * n, 0.0);
     for (samples, lane_w) in lanes.iter().zip(windowed.chunks_exact_mut(n)) {
@@ -454,13 +376,16 @@ pub fn of_samples_band_multi_into(
         2.0 * w.cos()
     }));
 
-    // Each lane runs the serial path's dispatched quad recurrence (four
-    // samples per bin-vectorized state pass) against the shared
-    // coefficients. The recurrence chain is latency-bound, so the shared
-    // trig above is where the multi-lane win comes from; the kernel's
-    // per-bin chain (fused `c.mul_add(s1, x − s2)` in sample order) is
-    // exactly the serial sequence, so every lane stays bit-identical to
-    // a serial evaluation.
+    // Sample-outer / bin-inner recurrence on the dispatched SIMD level,
+    // one lane at a time against the shared coefficients: the inner loop
+    // has no cross-iteration dependency, so it vectorizes across bins,
+    // and four samples advance per inner pass so the state arrays are
+    // loaded and stored once per quad. The per-bin sequence is the fused
+    // `c.mul_add(s1, x − s2)` step in sample order at every level, so
+    // results are bit-identical across dispatch levels (see
+    // `emvolt-simd`) and lane counts. The recurrence chain is
+    // latency-bound, so the shared trig above is where the multi-lane
+    // win comes from.
     for (lane_w, out) in windowed.chunks_exact(n).zip(outs.iter_mut()) {
         s1.clear();
         s1.resize(nb, 0.0);
@@ -473,6 +398,7 @@ pub fn of_samples_band_multi_into(
             let power = a * a + b * b - coeff[j] * a * b;
             let mag = power.max(0.0).sqrt() * scale;
             let k = k0 + j;
+            // One-sided doubling, same rule as the full-FFT path.
             if k == 0 || (n.is_multiple_of(2) && k == n / 2) {
                 mag
             } else {
@@ -484,36 +410,13 @@ pub fn of_samples_band_multi_into(
     scratch
         .telemetry
         .count(CounterId::GoertzelInvocations, n_lanes as u64);
-    scratch.telemetry.span(
-        "goertzel",
-        Layer::Dsp,
-        &[
-            ("n", n as f64),
-            ("bins", nb as f64),
-            ("lanes", n_lanes as f64),
-        ],
-    );
-}
-
-/// Evaluates the band `[lo_hz, hi_hz]` of a [`Trace`]'s spectrum — the
-/// trace counterpart of [`of_samples_band_into`].
-pub fn of_trace_band_into(
-    trace: &Trace,
-    window: Window,
-    lo_hz: f64,
-    hi_hz: f64,
-    scratch: &mut GoertzelScratch,
-    out: &mut BandSpectrum,
-) {
-    of_samples_band_into(
-        trace.samples(),
-        trace.sample_rate(),
-        window,
-        lo_hz,
-        hi_hz,
-        scratch,
-        out,
-    );
+    let fields = [
+        ("n", n as f64),
+        ("bins", nb as f64),
+        ("lanes", n_lanes as f64),
+    ];
+    let fields = if n_lanes == 1 { &fields[..2] } else { &fields };
+    scratch.telemetry.span("goertzel", Layer::Dsp, fields);
 }
 
 #[cfg(test)]

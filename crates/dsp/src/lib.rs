@@ -30,8 +30,7 @@ pub mod window;
 
 pub use fft::{bin_frequency, fft, fft_real, ifft, FftScratch};
 pub use goertzel::{
-    of_samples_band_into, of_samples_band_multi_into, of_trace_band_into, BandSpectrum,
-    GoertzelScratch, SpectralBins,
+    of_samples_band_into, of_samples_band_multi_into, BandSpectrum, GoertzelScratch, SpectralBins,
 };
 pub use spectrum::{
     amplitude_db, dbm_to_watts, power_db, sine_power_watts, watts_to_dbm, Spectrum, SpectrumScratch,

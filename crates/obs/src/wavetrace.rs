@@ -417,43 +417,66 @@ pub struct RttDump {
 pub fn read_rtt(r: &mut dyn Read) -> Result<RttDump, String> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes).map_err(|e| e.to_string())?;
-    let mut at = 0usize;
-    let mut take = |n: usize| -> Result<&[u8], String> {
-        let slice = bytes
-            .get(at..at + n)
-            .ok_or_else(|| format!("truncated at byte {at}: wanted {n} more"))?;
-        at += n;
-        Ok(slice)
+    let mut cur = RttCursor {
+        bytes: &bytes,
+        at: 0,
     };
-    if take(8)? != RTT_MAGIC {
+    if cur.take(8)? != RTT_MAGIC {
         return Err("bad magic: not an emvolt rtt dump".to_string());
     }
-    let n_signals = u32::from_le_bytes(take(4)?.try_into().unwrap());
-    let mut signals = Vec::with_capacity(n_signals as usize);
+    let n_signals = u32::from_le_bytes(cur.take(4)?.try_into().unwrap());
+    // A signal record is at least a kind tag and a name length.
+    let mut signals = Vec::with_capacity(cur.capacity(n_signals.into(), 5));
     for i in 0..n_signals {
-        let tag = take(1)?[0];
+        let tag = cur.take(1)?[0];
         let kind = WaveKind::from_tag(tag).ok_or_else(|| format!("signal {i}: bad kind {tag}"))?;
-        let len = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-        let name = std::str::from_utf8(take(len)?)
+        let len = u32::from_le_bytes(cur.take(4)?.try_into().unwrap()) as usize;
+        let name = std::str::from_utf8(cur.take(len)?)
             .map_err(|_| format!("signal {i}: name is not UTF-8"))?
             .to_string();
         signals.push((name, kind));
     }
-    let n_changes = u64::from_le_bytes(take(8)?.try_into().unwrap());
-    let mut changes = Vec::with_capacity(n_changes as usize);
+    let n_changes = u64::from_le_bytes(cur.take(8)?.try_into().unwrap());
+    let mut changes = Vec::with_capacity(cur.capacity(n_changes, 20));
     for _ in 0..n_changes {
-        let t = u64::from_le_bytes(take(8)?.try_into().unwrap());
-        let id = u32::from_le_bytes(take(4)?.try_into().unwrap());
-        let bits = u64::from_le_bytes(take(8)?.try_into().unwrap());
+        let t = u64::from_le_bytes(cur.take(8)?.try_into().unwrap());
+        let id = u32::from_le_bytes(cur.take(4)?.try_into().unwrap());
+        let bits = u64::from_le_bytes(cur.take(8)?.try_into().unwrap());
         changes.push((t, id, bits));
     }
-    if at != bytes.len() {
+    if cur.at != bytes.len() {
         return Err(format!(
             "{} trailing bytes after change stream",
-            bytes.len() - at
+            bytes.len() - cur.at
         ));
     }
     Ok(RttDump { signals, changes })
+}
+
+/// Bounds-checked forward reader over the bytes of an `.rtt` dump.
+struct RttCursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> RttCursor<'a> {
+    /// The next `n` bytes, or a "truncated" error.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        let slice = self
+            .bytes
+            .get(self.at..self.at.saturating_add(n))
+            .ok_or_else(|| format!("truncated at byte {}: wanted {n} more", self.at))?;
+        self.at += n;
+        Ok(slice)
+    }
+
+    /// Capacity for a table of `count` records of at least `min_bytes`
+    /// each: no more than the unread bytes can hold, so a corrupt count
+    /// fails as truncated instead of reserving memory for it.
+    fn capacity(&self, count: u64, min_bytes: usize) -> usize {
+        let fits = (self.bytes.len() - self.at) / min_bytes;
+        usize::try_from(count).map_or(fits, |count| count.min(fits))
+    }
 }
 
 /// VCD identifier code for signal `id`: base-94 over the printable ASCII
@@ -673,6 +696,28 @@ pub fn validate_vcd_text(text: &str) -> Result<VcdCheck, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Corrupt table counts must fail as truncated, not reserve memory
+    /// for them (`u64::MAX` changes used to panic with "capacity
+    /// overflow").
+    #[test]
+    fn hostile_counts_are_truncation_errors() {
+        let with_counts = |n_signals: u32, n_changes: u64| {
+            let mut bytes = RTT_MAGIC.to_vec();
+            bytes.extend(n_signals.to_le_bytes());
+            bytes.extend(n_changes.to_le_bytes());
+            bytes
+        };
+        for bytes in [
+            with_counts(0, u64::MAX),
+            with_counts(0, 1 << 40),
+            with_counts(u32::MAX, 0),
+        ] {
+            let err = read_rtt(&mut bytes.as_slice()).unwrap_err();
+            assert!(err.contains("truncated"), "{err}");
+        }
+        assert_eq!(with_counts(0, u64::MAX).len(), 20);
+    }
 
     #[test]
     fn registration_is_idempotent_and_ordered() {

@@ -4,8 +4,7 @@
 
 use crate::domain::{DomainError, DomainRun};
 use emvolt_dsp::{
-    of_samples_band_multi_into, of_trace_band_into, BandSpectrum, GoertzelScratch, Spectrum,
-    SpectrumScratch, Window,
+    of_samples_band_multi_into, BandSpectrum, GoertzelScratch, Spectrum, SpectrumScratch, Window,
 };
 use emvolt_em::EmChannel;
 use emvolt_inst::{AnalyzerConfig, SpectrumAnalyzer, SweepReading};
@@ -99,19 +98,18 @@ fn band_with_margin(config: &AnalyzerConfig, lo: f64, hi: f64) -> (f64, f64) {
 
 /// Reusable buffers for the spectrum half of a measurement: the FFT
 /// scratch plus the die-current and received spectra. Checking one out
-/// per evaluation slot makes repeated measurements allocation-free at
-/// steady state.
+/// per evaluation slot lets repeated measurements reuse every spectrum
+/// buffer at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct MeasureScratch {
     spec: SpectrumScratch,
     i_spec: Spectrum,
     rx: Spectrum,
     goertzel: GoertzelScratch,
-    i_band: BandSpectrum,
-    rx_band: BandSpectrum,
-    /// Per-lane die-current bands for batched measurements, lane order.
+    /// Per-lane die-current bands, lane order (one lane for a serial
+    /// measurement).
     i_bands: Vec<BandSpectrum>,
-    /// Per-lane received bands for batched measurements, lane order.
+    /// Per-lane received bands, lane order.
     rx_bands: Vec<BandSpectrum>,
     /// Shared per-bin channel-transfer values for batched propagation.
     transfer: Vec<f64>,
@@ -145,18 +143,33 @@ impl MeasureScratch {
         channel.received_spectrum_into_with(&self.i_spec, &mut self.rx, &self.telemetry);
     }
 
-    /// Fills `self.rx_band` with the received band `[lo, hi]` Hz of `run`
-    /// through `channel`, evaluating only the covered bins via Goertzel.
-    fn refresh_rx_band(&mut self, channel: &EmChannel, run: &DomainRun, lo: f64, hi: f64) {
-        of_trace_band_into(
-            &run.i_die,
+    /// The band stage: fills `self.rx_bands[l]` with the received band
+    /// `[lo, hi]` Hz of `runs[l]` through `channel`, evaluating only the
+    /// covered bins. The die-current bands come from one multi-lane
+    /// Goertzel pass and are propagated with per-bin transfer values
+    /// computed once for all lanes; per lane the arithmetic does not
+    /// depend on the lane count. Every run must share one record length
+    /// and sample rate; a serial measurement is the one-lane call.
+    fn refresh_rx_bands(&mut self, channel: &EmChannel, runs: &[&DomainRun], lo: f64, hi: f64) {
+        let samples: Vec<&[f64]> = runs.iter().map(|r| r.i_die.samples()).collect();
+        self.i_bands.resize_with(runs.len(), BandSpectrum::default);
+        self.rx_bands.resize_with(runs.len(), BandSpectrum::default);
+        of_samples_band_multi_into(
+            &samples,
+            runs[0].i_die.sample_rate(),
             Window::Hann,
             lo,
             hi,
             &mut self.goertzel,
-            &mut self.i_band,
+            &mut self.i_bands,
         );
-        channel.received_band_into_with(&self.i_band, &mut self.rx_band, &self.telemetry);
+        let i_refs: Vec<&BandSpectrum> = self.i_bands.iter().collect();
+        channel.received_spectrum_batch_into(
+            &i_refs,
+            &mut self.rx_bands,
+            &mut self.transfer,
+            &self.telemetry,
+        );
     }
 }
 
@@ -246,9 +259,10 @@ impl EmBench {
     pub fn measure_in_band(&mut self, run: &DomainRun, lo: f64, hi: f64, n: usize) -> EmReading {
         let (blo, bhi) = band_with_margin(self.analyzer.config(), lo, hi);
         let (metric_dbm, dominant_hz) = if self.spectral.picks_band(run, blo, bhi) {
-            self.scratch.refresh_rx_band(&self.channel, run, blo, bhi);
+            self.scratch
+                .refresh_rx_bands(&self.channel, &[run], blo, bhi);
             self.analyzer
-                .peak_metric(&self.scratch.rx_band, lo, hi, n, &mut self.rng)
+                .peak_metric(&self.scratch.rx_bands[0], lo, hi, n, &mut self.rng)
         } else {
             self.scratch.refresh_rx(&self.channel, run);
             self.analyzer
@@ -361,8 +375,9 @@ impl SharedEmBench {
     }
 
     /// Like [`SharedEmBench::measure_in_band_seeded`], but reusing a
-    /// caller-owned [`MeasureScratch`] so repeated measurements allocate
-    /// nothing at steady state. Bit-identical results.
+    /// caller-owned [`MeasureScratch`] so repeated measurements reuse its
+    /// spectrum buffers. Bit-identical results. This is the one-lane
+    /// [`SharedEmBench::measure_in_band_batch_seeded_with`].
     pub fn measure_in_band_seeded_with(
         &self,
         run: &DomainRun,
@@ -372,39 +387,24 @@ impl SharedEmBench {
         seed: u64,
         scratch: &mut MeasureScratch,
     ) -> EmReading {
-        let mut analyzer = SpectrumAnalyzer::new(self.analyzer_config.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (blo, bhi) = band_with_margin(&self.analyzer_config, lo, hi);
-        let (metric_dbm, dominant_hz) = if self.spectral.picks_band(run, blo, bhi) {
-            scratch.refresh_rx_band(&self.channel, run, blo, bhi);
-            analyzer.peak_metric(&scratch.rx_band, lo, hi, n, &mut rng)
-        } else {
-            scratch.refresh_rx(&self.channel, run);
-            analyzer.peak_metric(&scratch.rx, lo, hi, n, &mut rng)
-        };
-        *self.elapsed_s.lock() += analyzer.elapsed();
-        record_measurement(&scratch.telemetry, lo, hi, n, metric_dbm, dominant_hz);
-        EmReading {
-            metric_dbm,
-            dominant_hz,
-        }
+        self.measure_in_band_batch_seeded_with(&[run], lo, hi, n, &[seed], scratch)[0]
     }
 
-    /// Batched counterpart of
-    /// [`SharedEmBench::measure_in_band_seeded_with`]: one call measures
-    /// every lane of `runs` over `[lo, hi]` Hz, lane `l` drawing its
-    /// measurement noise from `seeds[l]`.
+    /// Measures every lane of `runs` over `[lo, hi]` Hz in one call, lane
+    /// `l` drawing its measurement noise from `seeds[l]`;
+    /// [`SharedEmBench::measure_in_band_seeded_with`] is the one-lane
+    /// call.
     ///
     /// When every lane shares one record length and sample rate and the
     /// spectral choice resolves to the band path, the die-current bands
     /// are evaluated by the multi-lane Goertzel in one pass and propagated
     /// through the channel with per-bin transfer values computed once.
-    /// Each lane's analyzer stage still runs on a throwaway analyzer
-    /// seeded from its own lane seed, so reading `l` is bit-identical to
-    /// the serial `measure_in_band_seeded_with(runs[l], .., seeds[l], ..)`
-    /// call it replaces. Mixed record shapes, or a spectral choice that
-    /// resolves to the full FFT, fall back to the per-lane serial path —
-    /// same results, no amortization.
+    /// Each lane's analyzer stage runs on a throwaway analyzer seeded from
+    /// its own lane seed, so reading `l` is bit-identical to the one-lane
+    /// call `measure_in_band_seeded_with(runs[l], .., seeds[l], ..)`. A
+    /// spectral choice that resolves to the full FFT runs each lane's
+    /// full spectrum in turn; mixed record shapes are measured one lane
+    /// at a time — same results, no amortization.
     ///
     /// Counter totals are lane-count-invariant: the batched stages charge
     /// one Goertzel invocation and one received spectrum per lane, and
@@ -426,12 +426,11 @@ impl SharedEmBench {
         let Some(first) = runs.first() else {
             return Vec::new();
         };
-        let (blo, bhi) = band_with_margin(&self.analyzer_config, lo, hi);
         let uniform = runs.iter().all(|r| {
             r.i_die.samples().len() == first.i_die.samples().len()
                 && r.i_die.sample_rate() == first.i_die.sample_rate()
         });
-        if !(uniform && self.spectral.picks_band(first, blo, bhi)) {
+        if !uniform {
             return runs
                 .iter()
                 .zip(seeds)
@@ -439,32 +438,21 @@ impl SharedEmBench {
                 .collect();
         }
 
-        let n_lanes = runs.len();
-        let samples: Vec<&[f64]> = runs.iter().map(|r| r.i_die.samples()).collect();
-        scratch.i_bands.resize_with(n_lanes, BandSpectrum::default);
-        scratch.rx_bands.resize_with(n_lanes, BandSpectrum::default);
-        of_samples_band_multi_into(
-            &samples,
-            first.i_die.sample_rate(),
-            Window::Hann,
-            blo,
-            bhi,
-            &mut scratch.goertzel,
-            &mut scratch.i_bands,
-        );
-        let i_refs: Vec<&BandSpectrum> = scratch.i_bands.iter().collect();
-        self.channel.received_spectrum_batch_into(
-            &i_refs,
-            &mut scratch.rx_bands,
-            &mut scratch.transfer,
-            &scratch.telemetry,
-        );
-
-        let mut readings = Vec::with_capacity(n_lanes);
-        for (rx_band, &seed) in scratch.rx_bands.iter().zip(seeds) {
+        let (blo, bhi) = band_with_margin(&self.analyzer_config, lo, hi);
+        let banded = self.spectral.picks_band(first, blo, bhi);
+        if banded {
+            scratch.refresh_rx_bands(&self.channel, runs, blo, bhi);
+        }
+        let mut readings = Vec::with_capacity(runs.len());
+        for (l, (run, &seed)) in runs.iter().zip(seeds).enumerate() {
             let mut analyzer = SpectrumAnalyzer::new(self.analyzer_config.clone());
             let mut rng = StdRng::seed_from_u64(seed);
-            let (metric_dbm, dominant_hz) = analyzer.peak_metric(rx_band, lo, hi, n, &mut rng);
+            let (metric_dbm, dominant_hz) = if banded {
+                analyzer.peak_metric(&scratch.rx_bands[l], lo, hi, n, &mut rng)
+            } else {
+                scratch.refresh_rx(&self.channel, run);
+                analyzer.peak_metric(&scratch.rx, lo, hi, n, &mut rng)
+            };
             *self.elapsed_s.lock() += analyzer.elapsed();
             record_measurement(&scratch.telemetry, lo, hi, n, metric_dbm, dominant_hz);
             readings.push(EmReading {

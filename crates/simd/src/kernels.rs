@@ -8,15 +8,16 @@
 //! scalar dispatch level and the vector levels share one definition and
 //! cannot drift apart.
 //!
-//! The lane-major kernels (batched fold, gather and companion updates)
-//! run on lane blocks of compile-time width `B <= 8` (see
-//! `lane_blocks!`): `B / V::W` vectors plus `B % V::W` scalar lanes,
-//! all fixed at monomorphization, so no block runs a runtime-length
-//! tail loop. Runtime tails over a row that the next iteration reads back
-//! were the batched transient's partial-group cliff: the compiler turns
-//! them into masked AVX loads and stores (`vmaskmovpd`), and a masked
-//! load of a row just written by a masked store cannot be forwarded
-//! from the store buffer.
+//! The lane-major kernels (fold, gather and companion updates) run on
+//! lane blocks of compile-time width `B <= 8` (see `lane_blocks!`):
+//! `B / V::W` vectors plus `B % V::W` scalar lanes, all fixed at
+//! monomorphization, so no block runs a runtime-length tail loop.
+//! Runtime tails over a row that the next iteration reads back were the
+//! batched transient's partial-group cliff: the compiler turns them into
+//! masked AVX loads and stores (`vmaskmovpd`), and a masked load of a
+//! row just written by a masked store cannot be forwarded from the store
+//! buffer. At one lane (a serial run) the fold and the gather vectorize
+//! across nodes / elements instead.
 //!
 //! All functions are `unsafe` only because [`Vf64::load`]/[`Vf64::store`]
 //! take raw pointers; every pointer passed stays inside the bounds of
@@ -30,22 +31,6 @@ use crate::vector::Vf64;
 /// modules.
 macro_rules! target_kernels {
     ($feat:literal, $vec:ty) => {
-        /// [`crate::SimdLevel::fold_cols`] at this tier's width.
-        ///
-        /// # Safety
-        ///
-        /// The tier's target features must be present at runtime.
-        #[target_feature(enable = $feat)]
-        pub(crate) unsafe fn fold_cols(
-            cols: &[f64],
-            n_nodes: usize,
-            inputs: &[f64],
-            xn: &mut [f64],
-        ) {
-            // SAFETY: forwarded contract.
-            unsafe { crate::kernels::fold_cols::<$vec>(cols, n_nodes, inputs, xn) }
-        }
-
         /// [`crate::SimdLevel::fold_cols_lanes`] at this tier's width.
         ///
         /// # Safety
@@ -147,34 +132,6 @@ macro_rules! target_kernels {
 
 pub(crate) use target_kernels;
 
-/// Serial response-column fold; see [`crate::SimdLevel::fold_cols`].
-#[inline(always)]
-pub(crate) unsafe fn fold_cols<V: Vf64>(
-    cols: &[f64],
-    n_nodes: usize,
-    inputs: &[f64],
-    xn: &mut [f64],
-) {
-    debug_assert_eq!(xn.len(), n_nodes);
-    debug_assert_eq!(cols.len(), n_nodes * inputs.len());
-    xn.fill(0.0);
-    for (col, &w) in cols.chunks_exact(n_nodes.max(1)).zip(inputs) {
-        let wv = V::splat(w);
-        let mut ci = col.chunks_exact(V::W);
-        let mut xi = xn.chunks_exact_mut(V::W);
-        for (c, x) in ci.by_ref().zip(xi.by_ref()) {
-            // SAFETY: both chunks hold exactly V::W elements.
-            unsafe {
-                wv.fmadd(V::load(c.as_ptr()), V::load(x.as_ptr()))
-                    .store(x.as_mut_ptr())
-            };
-        }
-        for (x, &c) in xi.into_remainder().iter_mut().zip(ci.remainder()) {
-            *x = w.mul_add(c, *x);
-        }
-    }
-}
-
 /// Widest lane block a lane-major kernel runs as one compile-time-width
 /// body; wider batches split into blocks of this width plus one
 /// remainder block.
@@ -207,7 +164,7 @@ macro_rules! lane_blocks {
     }};
 }
 
-/// Lane-major batched fold; see [`crate::SimdLevel::fold_cols_lanes`].
+/// Lane-major fold; see [`crate::SimdLevel::fold_cols_lanes`].
 #[inline(always)]
 pub(crate) unsafe fn fold_cols_lanes<V: Vf64>(
     cols: &[f64],
@@ -219,6 +176,29 @@ pub(crate) unsafe fn fold_cols_lanes<V: Vf64>(
     debug_assert!(lanes > 0);
     debug_assert_eq!(xn.len(), n_nodes * lanes);
     debug_assert_eq!(inputs.len() * n_nodes, cols.len() * lanes);
+    if lanes == 1 {
+        // One lane (a serial run): vectorize across the node dimension
+        // instead, one zeroed accumulator row swept once per input. On
+        // the campaign PDNs this beats a one-lane block at `avx2`, whose
+        // lane dimension is all scalar tail; see DESIGN.md §11.
+        xn.fill(0.0);
+        for (col, &w) in cols.chunks_exact(n_nodes.max(1)).zip(inputs) {
+            let wv = V::splat(w);
+            let mut ci = col.chunks_exact(V::W);
+            let mut xi = xn.chunks_exact_mut(V::W);
+            for (c, x) in ci.by_ref().zip(xi.by_ref()) {
+                // SAFETY: both chunks hold exactly V::W elements.
+                unsafe {
+                    wv.fmadd(V::load(c.as_ptr()), V::load(x.as_ptr()))
+                        .store(x.as_mut_ptr())
+                };
+            }
+            for (x, &c) in xi.into_remainder().iter_mut().zip(ci.remainder()) {
+                *x = w.mul_add(c, *x);
+            }
+        }
+        return;
+    }
     // SAFETY: every block lies inside `0..lanes`.
     unsafe { lane_blocks!(lanes, fold_block::<V>(cols, n_nodes, inputs, lanes, xn)) }
 }

@@ -304,21 +304,19 @@ macro_rules! dispatch_ops {
 }
 
 dispatch_ops! {
-    /// Serial response-column fold: zeroes `xn` (length `n_nodes`), then
-    /// accumulates `xn[i] = inputs[j].mul_add(cols[j*n_nodes + i], xn[i])`
-    /// in ascending `j` — the state-space kernel's per-step solve.
-    /// Vectorized across the node dimension; the `j` accumulation order
-    /// is preserved exactly.
-    fn fold_cols(cols: &[f64], n_nodes: usize, inputs: &[f64], xn: &mut [f64]);
-
-    /// Lane-major batched fold: `inputs` is `[n_inputs x lanes]`, `xn`
-    /// `[n_nodes x lanes]`; per lane the operation sequence is exactly
-    /// [`SimdLevel::fold_cols`]'s. Vectorized across the lane dimension,
-    /// so each response-column entry is loaded once for all lanes.
-    /// `lanes` splits into 8-wide blocks plus one remainder block, each
-    /// a body of compile-time width; within a block, four nodes'
-    /// accumulators stay in registers across the whole `j` loop and are
-    /// stored once, so the fold writes `xn` exactly once per element.
+    /// Lane-major response-column fold — the state-space kernel's
+    /// per-step solve: `inputs` is `[n_inputs x lanes]`, `xn`
+    /// `[n_nodes x lanes]`, and per lane `l` every `xn[i*lanes + l]`
+    /// starts at `+0.0` and accumulates `inputs[j*lanes + l].mul_add(
+    /// cols[j*n_nodes + i], ..)` in ascending `j`. With `lanes == 1`
+    /// (a serial run) this vectorizes across the node dimension; with
+    /// wider lanes it vectorizes across the lane dimension, so each
+    /// response-column entry is loaded once for all lanes. Wider `lanes`
+    /// split into 8-wide blocks plus one remainder block, each a body of
+    /// compile-time width; within a block, four nodes' accumulators stay
+    /// in registers across the whole `j` loop and are stored once, so
+    /// the fold writes `xn` exactly once per element. The `j` order is
+    /// preserved exactly either way.
     fn fold_cols_lanes(cols: &[f64], n_nodes: usize, inputs: &[f64], lanes: usize, xn: &mut [f64]);
 
     /// Trapezoidal history gather, `out[k*lanes + l] =
@@ -480,13 +478,6 @@ mod tests {
                     assert_eq!(bits(&i1), bits(&i2), "updates i cap={cap} @ {lv:?}");
                 }
             }
-
-            let serial = lcg(5, n_inputs);
-            let mut want = vec![0.0; n_nodes];
-            let mut got = want.clone();
-            SimdLevel::Scalar.fold_cols(&cols, n_nodes, &serial, &mut want);
-            lv.fold_cols(&cols, n_nodes, &serial, &mut got);
-            assert_eq!(bits(&want), bits(&got), "fold_cols @ {lv:?}");
 
             for (n, nb) in [(13usize, 6usize), (16, 1), (4, 5), (3, 9)] {
                 let samples = lcg(6, n);
